@@ -43,6 +43,11 @@ _c_vp = ctypes.c_void_p
 class CFused:
     """ctypes bindings over the compiled kernel library.
 
+    One entry point per solver stage, each over a column span
+    ``[col0, col1)`` of its ``(ns, m)`` block (the sequential run passes
+    the single span ``(0, m)``); ctypes releases the GIL around each
+    call, so spans on pool threads genuinely overlap.
+
     Pointer arguments are declared ``c_void_p`` so callers pass raw
     addresses (``ndarray.ctypes.data`` integers, which the hot path
     caches per workspace buffer) — per-call ``data_as`` marshalling
@@ -54,86 +59,25 @@ class CFused:
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
-        self.build_rates = lib.yb_build_rates
-        self.build_rates.argtypes = [
-            _c_i64, _c_i64, _c_vp, _c_vp, _c_vp, _c_vp, _c_vp,
-        ]
-        self.build_rates.restype = None
-        self.pl_finish = lib.yb_pl_finish
-        self.pl_finish.argtypes = [_c_i64, _c_vp, _c_vp]
-        self.pl_finish.restype = None
-        self.predictor = lib.yb_predictor
-        self.predictor.argtypes = [
-            _c_i64, _c_i64, _c_vp, _c_vp, _c_vp, _c_vp, _c_vp,
-            ctypes.c_double, ctypes.c_double, _c_i64,
-            _c_vp, _c_vp, _c_vp, _c_vp,
-        ]
-        self.predictor.restype = _c_i64
-        self.corrector = lib.yb_corrector
-        self.corrector.argtypes = [
-            _c_i64, _c_i64, _c_vp, _c_vp, _c_vp, _c_vp, _c_vp, _c_vp,
-            _c_vp, _c_vp, ctypes.c_double, ctypes.c_double, _c_i64,
-            _c_vp, _c_vp, _c_vp, _c_vp,
-        ]
-        self.corrector.restype = _c_i64
-        self.errmax = lib.yb_errmax
-        self.errmax.argtypes = [_c_i64, _c_i64, _c_vp, _c_vp, _c_vp]
-        self.errmax.restype = None
-        self.gather_cols = lib.yb_gather_cols
-        self.gather_cols.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp,
-        ]
-        self.gather_cols.restype = None
-        self.scatter_cols = lib.yb_scatter_cols
-        self.scatter_cols.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp, _c_vp,
-        ]
-        self.scatter_cols.restype = None
-        # Column-span variants for the tiled multi-core engine.  Same
-        # per-element operation sequences restricted to [col0, col1);
-        # ctypes releases the GIL around each call, so tiles on pool
-        # threads genuinely overlap.
-        self.build_rates_span = lib.yb_build_rates_span
-        self.build_rates_span.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp, _c_vp,
-            _c_vp,
-        ]
-        self.build_rates_span.restype = None
-        self.pl_finish_span = lib.yb_pl_finish_span
-        self.pl_finish_span.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_i64, _c_vp, _c_vp,
-        ]
-        self.pl_finish_span.restype = None
-        self.predictor_span = lib.yb_predictor_span
-        self.predictor_span.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp, _c_vp,
-            _c_vp, ctypes.c_double, ctypes.c_double, _c_i64,
-            _c_vp, _c_vp, _c_vp, _c_vp,
-        ]
-        self.predictor_span.restype = _c_i64
-        self.corrector_span = lib.yb_corrector_span
-        self.corrector_span.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp, _c_vp,
-            _c_vp, _c_vp, _c_vp, _c_vp, ctypes.c_double, ctypes.c_double,
-            _c_i64, _c_vp, _c_vp, _c_vp, _c_vp,
-        ]
-        self.corrector_span.restype = _c_i64
-        self.gather_cols_span = lib.yb_gather_cols_span
-        self.gather_cols_span.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp,
-        ]
-        self.gather_cols_span.restype = None
-        self.scatter_cols_span = lib.yb_scatter_cols_span
-        self.scatter_cols_span.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp,
-            _c_vp,
-        ]
-        self.scatter_cols_span.restype = None
-        self.errmax_span = lib.yb_errmax_span
-        self.errmax_span.argtypes = [
-            _c_i64, _c_i64, _c_i64, _c_i64, _c_vp, _c_vp, _c_vp,
-        ]
-        self.errmax_span.restype = None
+        dbl = ctypes.c_double
+        span = [_c_i64] * 4  # (rows, m, col0, col1)
+
+        def bind(name, argtypes, restype=None):
+            fn = getattr(lib, f"yb_{name}")
+            fn.argtypes = argtypes
+            fn.restype = restype
+            setattr(self, name, fn)
+
+        bind("build_rates", span + [_c_vp] * 5)
+        bind("pl_finish", span + [_c_vp] * 2)
+        bind("predictor",
+             span + [_c_vp] * 5 + [dbl, dbl, _c_i64] + [_c_vp] * 4, _c_i64)
+        bind("corrector",
+             span + [_c_vp] * 8 + [dbl, dbl, _c_i64] + [_c_vp] * 4, _c_i64)
+        bind("errmax", span + [_c_vp] * 3)
+        # (ns, ncols, m, col0, col1): the far side has its own width.
+        bind("gather_cols", [_c_i64] * 5 + [_c_vp] * 3)
+        bind("scatter_cols", [_c_i64] * 5 + [_c_vp] * 4)
 
 
 def _compile() -> Optional[Path]:

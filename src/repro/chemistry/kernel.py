@@ -3,17 +3,24 @@
 :class:`FastKernel` evaluates the mechanism's production/loss form and
 the Young–Boris predictor/corrector stages into preallocated workspace
 buffers.  The solver spends ~97% of a sequential Airshed hour here; the
-reference implementation (:meth:`repro.chemistry.mechanism.Mechanism.
-production_loss` plus the solver's ``_substep``) allocates dozens of
-temporaries per substep and touches every array several times.  The
-kernel removes the temporaries and fuses passes while producing
-**bitwise-identical** results.
+reference implementation (:mod:`repro.chemistry.reference`) allocates
+dozens of temporaries per substep and touches every array several
+times.  The kernel removes the temporaries and fuses passes while
+producing **bitwise-identical** results.
 
-Each stage has two interchangeable backends:
+Each stage is written once per backend, over a column span
+``[s0, s1)`` of its ``(ns, m)`` block:
 
-* a pure-numpy path using ``out=`` buffers (always available), and
-* C fused loops (:mod:`repro.chemistry.cfused`), compiled on demand,
-  that collapse each stage's ufunc chain into a single pass.
+* a pure-numpy body using ``out=`` buffers (always available), and
+* one C fused loop (:mod:`repro.chemistry.cfused`), compiled on demand,
+  that collapses the stage's ufunc chain into a single pass.
+
+**The span-list rule.**  :meth:`FastKernel._dispatch` runs a stage over
+a list of contiguous spans partitioning ``[0, m)``.  The sequential run
+is the single span ``(0, m)``, executed inline on the calling thread; a
+tiled run is several spans on the :class:`~repro.chemistry.tiling.
+TilePool`; a batched ensemble is the same stages over the stacked
+member columns.  The stages never know which.
 
 Bitwise-identity ground rules (verified empirically on this codebase,
 documented in ``docs/PERFORMANCE.md``):
@@ -52,7 +59,7 @@ see.  Everything else runs over the full flattened width unchanged.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,7 +106,7 @@ class FastKernel:
         self._c = cfused.load() if use_c in (None, True) else None
         if use_c and self._c is None:
             raise RuntimeError("C fused kernels requested but unavailable")
-        #: Multi-core tiling (see configure_tiling); None = sequential.
+        #: Multi-core tiling (see configure_tiling); None = one span.
         self._pool: Optional[TilePool] = None
         self._tile_cols: Optional[int] = None
         self._tile_min_cols = 128
@@ -153,7 +160,7 @@ class FastKernel:
         return self._stiff_flat[: self.ns * m].reshape(self.ns, m)
 
     # ------------------------------------------------------------------
-    # multi-core tiling
+    # the span-list dispatcher
     # ------------------------------------------------------------------
     def configure_tiling(
         self,
@@ -165,40 +172,57 @@ class FastKernel:
 
         Columns split into contiguous tiles (``tile_cols`` wide, or one
         balanced tile per pool worker when ``None``); each tile runs the
-        exact per-element operation sequence of the sequential stage and
-        writes a disjoint column range, so results are bitwise-identical
-        for every worker count and tile size (see
+        exact per-element operation sequence of the single-span stage
+        and writes a disjoint column range, so results are
+        bitwise-identical for every worker count and tile size (see
         :mod:`repro.chemistry.tiling`).  The BLAS matmuls, ``np.exp``
         asymptotic updates and the stiff-index merge stay on the calling
         thread.  Stages with fewer than ``min_cols`` active columns run
-        untiled — dispatch overhead would exceed the work; perf-only,
-        never a results choice.
+        as one span — dispatch overhead would exceed the work;
+        perf-only, never a results choice.
         """
         self._pool = pool
         self._tile_cols = None if tile_cols is None else int(tile_cols)
         self._tile_min_cols = int(min_cols)
 
-    def _spans(self, m: int):
-        """Tile spans for an ``m``-column stage, or None to run untiled."""
-        if self._pool is None or m < self._tile_min_cols:
-            return None
-        spans = tile_spans(m, self._pool.workers, self._tile_cols)
-        return spans if len(spans) > 1 else None
+    def _dispatch(
+        self, m: int, tile: Callable[[int, int], Optional[int]],
+        stiff: bool = False,
+    ) -> Optional[np.ndarray]:
+        """Run ``tile(s0, s1)`` over the span list of an ``m``-column stage.
 
-    def _merge_stiff(self, spans, counts) -> np.ndarray:
-        """Merge per-tile stiff indices into the sequential enumeration.
-
-        Tile ``(c0, c1)`` wrote its stiff elements' GLOBAL row-major
-        flat indices at segment offset ``ns*c0`` of ``_stiff_idx``
-        (ascending within the tile).  The tiles partition the column
-        set, so the sorted concatenation is exactly the full-width
-        ascending enumeration the sequential kernel returns.
+        The span list is the policy: one span ``(0, m)`` — no pool, or a
+        stage too narrow to be worth tiling — runs inline on the calling
+        thread; several spans go to the :class:`TilePool`.  With
+        ``stiff`` the tiles return their stiff-element counts and the
+        ascending full-width stiff enumeration is returned.
         """
+        pool = self._pool
+        spans = None
+        if pool is not None and m >= self._tile_min_cols:
+            spans = tile_spans(m, pool.workers, self._tile_cols)
+        if spans is None or len(spans) < 2:
+            n = tile(0, m)
+            # One span's stiff indices are already the full ascending
+            # enumeration, at segment offset 0.
+            return self._stiff_idx[:n] if stiff else None
+        counts = [0] * len(spans)
+
+        def run(si: int, s0: int, s1: int) -> None:
+            counts[si] = tile(s0, s1)
+
+        pool.run(run, spans)
+        if not stiff:
+            return None
+        # Span (s0, s1) wrote its stiff elements' GLOBAL row-major flat
+        # indices at segment offset ns*s0 of _stiff_idx (ascending
+        # within the span).  The spans partition the column set, so the
+        # sorted concatenation is exactly the single-span enumeration.
         total = 0
         merge = self._stiff_merge
-        for (c0, _c1), cnt in zip(spans, counts):
+        for (s0, _s1), cnt in zip(spans, counts):
             if cnt:
-                base = self.ns * c0
+                base = self.ns * s0
                 merge[total:total + cnt] = self._stiff_idx[base:base + cnt]
                 total += cnt
         out = merge[:total]
@@ -208,6 +232,18 @@ class FastKernel:
     # ------------------------------------------------------------------
     # mechanism evaluation
     # ------------------------------------------------------------------
+    def evaluate(
+        self, conc: np.ndarray, k: np.ndarray,
+        col_slices: Optional[Sequence[Tuple[int, int]]] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(P, L)`` at an integration's start state, into slot 0.
+
+        The first substep reuses this evaluation (``reuse_pl``): the
+        state has not changed in between.
+        """
+        self.ensure(conc.shape[1])
+        return self.production_loss(conc, k, 0, col_slices=col_slices)
+
     def production_loss(
         self, conc: np.ndarray, k: np.ndarray, slot: int,
         defer_finish: bool = False,
@@ -237,67 +273,40 @@ class FastKernel:
         P = self.mat(f"P{slot}", m)
         L = self.mat(f"L{slot}", m)
         self._pl_pending[slot] = False
-        spans = self._spans(m)
         if self._c is not None and conc.flags.c_contiguous:
             a = self._addr
-            conc_p = conc.ctypes.data
-            if spans is None:
-                self._c.build_rates(self.nr, m, k.ctypes.data, a["r1"],
-                                    a["r2"], conc_p, a["rates"])
-            else:
-                kp = k.ctypes.data
-                self._pool.run(
-                    lambda si, s0, s1: self._c.build_rates_span(
-                        self.nr, m, s0, s1, kp, a["r1"], a["r2"],
-                        conc_p, a["rates"]),
-                    spans)
+            conc_p, kp, Lp = conc.ctypes.data, k.ctypes.data, a[f"L{slot}"]
+            self._dispatch(m, lambda s0, s1: self._c.build_rates(
+                self.nr, m, s0, s1, kp, a["r1"], a["r2"], conc_p,
+                a["rates"]))
             self._pl_matmuls(rates, P, L, col_slices)
             if defer_finish:
                 self._pl_pending[slot] = True
-            elif spans is None:
-                self._c.pl_finish(self.ns * m, conc_p, a[f"L{slot}"])
             else:
-                Lp = a[f"L{slot}"]
-                self._pool.run(
-                    lambda si, s0, s1: self._c.pl_finish_span(
-                        self.ns, m, s0, s1, conc_p, Lp),
-                    spans)
+                self._dispatch(m, lambda s0, s1: self._c.pl_finish(
+                    self.ns, m, s0, s1, conc_p, Lp))
             return P, L
         fac = self._flat["fac"][: self.nr * m].reshape(self.nr, m)
         t = self.mat("t0", m)
-        if spans is not None:
-            # rates = k * conc[r1] (* conc[r2] when bimolecular), per
-            # tile: pure elementwise work on disjoint column slices.
-            def _rates_tile(si: int, s0: int, s1: int) -> None:
-                cs = conc[:, s0:s1]
-                rs = rates[:, s0:s1]
-                fs = fac[:, s0:s1]
-                np.take(cs, self._r1, axis=0, out=rs)
-                np.multiply(rs, k[:, None], out=rs)
-                np.take(cs, self._r2_safe, axis=0, out=fs)
-                fs[self._unimol_rows] = 1.0
-                np.multiply(rs, fs, out=rs)
 
-            self._pool.run(_rates_tile, spans)
-            self._pl_matmuls(rates, P, L, col_slices)
+        def rates_tile(s0: int, s1: int) -> None:
+            # rates = k * conc[r1]; bimolecular rows gain a conc[r2]
+            # factor.
+            cs, rs, fs = conc[:, s0:s1], rates[:, s0:s1], fac[:, s0:s1]
+            np.take(cs, self._r1, axis=0, out=rs)
+            np.multiply(rs, k[:, None], out=rs)
+            np.take(cs, self._r2_safe, axis=0, out=fs)
+            fs[self._unimol_rows] = 1.0
+            np.multiply(rs, fs, out=rs)
 
-            def _finish_tile(si: int, s0: int, s1: int) -> None:
-                ts = t[:, s0:s1]
-                Ls = L[:, s0:s1]
-                np.maximum(conc[:, s0:s1], 1e-30, out=ts)
-                np.divide(Ls, ts, out=Ls)
+        def finish_tile(s0: int, s1: int) -> None:
+            ts, Ls = t[:, s0:s1], L[:, s0:s1]
+            np.maximum(conc[:, s0:s1], 1e-30, out=ts)
+            np.divide(Ls, ts, out=Ls)
 
-            self._pool.run(_finish_tile, spans)
-            return P, L
-        # rates = k * conc[r1]; bimolecular rows gain a conc[r2] factor.
-        np.take(conc, self._r1, axis=0, out=rates)
-        np.multiply(rates, k[:, None], out=rates)
-        np.take(conc, self._r2_safe, axis=0, out=fac)
-        fac[self._unimol_rows] = 1.0
-        np.multiply(rates, fac, out=rates)
+        self._dispatch(m, rates_tile)
         self._pl_matmuls(rates, P, L, col_slices)  # L: rate until divided
-        np.maximum(conc, 1e-30, out=t)
-        np.divide(L, t, out=L)
+        self._dispatch(m, finish_tile)
         return P, L
 
     def _pl_matmuls(
@@ -346,72 +355,44 @@ class FastKernel:
         cp = self.mat("cp", m)
         divide = self._pl_pending[0]
         self._pl_pending[0] = False
-        spans = self._spans(m)
         if self._c is not None and c0.flags.c_contiguous and (
             Ea is None or Ea.flags.c_contiguous
         ):
             a = self._addr
-            if spans is None:
-                n = self._c.predictor(
-                    self.ns, m, a["P0"], a["L0"], c0.ctypes.data,
-                    h.ctypes.data, None if Ea is None else Ea.ctypes.data,
-                    thresh, floor, int(divide),
-                    a["Lh"], a["R0"], a["cp"], a["stiff_idx"],
-                )
-                return cp, Lh, R0, self._stiff_idx[:n]
             c0p, hp = c0.ctypes.data, h.ctypes.data
             Eap = None if Ea is None else Ea.ctypes.data
-            counts = [0] * len(spans)
-
-            def _pred_tile(si: int, s0: int, s1: int) -> None:
-                # each tile's stiff indices land in its own disjoint
-                # _stiff_idx segment (element offset ns*s0).
-                counts[si] = self._c.predictor_span(
-                    self.ns, m, s0, s1, a["P0"], a["L0"], c0p, hp, Eap,
-                    thresh, floor, int(divide),
-                    a["Lh"], a["R0"], a["cp"],
-                    a["stiff_idx"] + 8 * self.ns * s0,
-                )
-
-            self._pool.run(_pred_tile, spans)
-            return cp, Lh, R0, self._merge_stiff(spans, counts)
+            # each span's stiff indices land in its own disjoint
+            # _stiff_idx segment (element offset ns*s0).
+            flat = self._dispatch(m, lambda s0, s1: self._c.predictor(
+                self.ns, m, s0, s1, a["P0"], a["L0"], c0p, hp, Eap,
+                thresh, floor, int(divide), a["Lh"], a["R0"], a["cp"],
+                a["stiff_idx"] + 8 * self.ns * s0), stiff=True)
+            return cp, Lh, R0, flat
         sm = self.stiff_mask(m)
         t0 = self.mat("t0", m)
         t1 = self.mat("t1", m)
-        if spans is not None:
-            def _pred_tile(si: int, s0: int, s1: int) -> None:
-                L0s, c0s = L0[:, s0:s1], c0[:, s0:s1]
-                if divide:
-                    np.maximum(c0s, 1e-30, out=t1[:, s0:s1])
-                    np.divide(L0s, t1[:, s0:s1], out=L0s)
-                if Ea is not None:
-                    np.add(P0[:, s0:s1], Ea[:, s0:s1], out=P0[:, s0:s1])
-                np.multiply(L0s, h[s0:s1], out=Lh[:, s0:s1])
-                np.greater(Lh[:, s0:s1], thresh, out=sm[:, s0:s1])
-                np.multiply(L0s, c0s, out=t0[:, s0:s1])
-                np.subtract(P0[:, s0:s1], t0[:, s0:s1], out=R0[:, s0:s1])
-                np.multiply(R0[:, s0:s1], h[s0:s1], out=cp[:, s0:s1])
-                np.add(c0s, cp[:, s0:s1], out=cp[:, s0:s1])
-                np.maximum(cp[:, s0:s1], floor, out=cp[:, s0:s1])
 
-            self._pool.run(_pred_tile, spans)
-            # full-mask flatnonzero on the main thread reproduces the
-            # sequential ascending enumeration with no index math.
-            return cp, Lh, R0, np.flatnonzero(sm)
-        if divide:
-            np.maximum(c0, 1e-30, out=t1)
-            np.divide(L0, t1, out=L0)
-        if Ea is not None:
-            np.add(P0, Ea, out=P0)
-        np.multiply(L0, h, out=Lh)
-        np.greater(Lh, thresh, out=sm)
-        flat = np.flatnonzero(sm)
-        np.multiply(L0, c0, out=t0)
-        np.subtract(P0, t0, out=R0)
-        np.multiply(R0, h, out=cp)
-        np.add(c0, cp, out=cp)
-        np.maximum(cp, floor, out=cp)
-        return cp, Lh, R0, flat
+        def tile(s0: int, s1: int) -> None:
+            P0s, L0s, c0s = P0[:, s0:s1], L0[:, s0:s1], c0[:, s0:s1]
+            Lhs, R0s, cps = Lh[:, s0:s1], R0[:, s0:s1], cp[:, s0:s1]
+            hs = h[s0:s1]
+            if divide:
+                np.maximum(c0s, 1e-30, out=t1[:, s0:s1])
+                np.divide(L0s, t1[:, s0:s1], out=L0s)
+            if Ea is not None:
+                np.add(P0s, Ea[:, s0:s1], out=P0s)
+            np.multiply(L0s, hs, out=Lhs)
+            np.greater(Lhs, thresh, out=sm[:, s0:s1])
+            np.multiply(L0s, c0s, out=t0[:, s0:s1])
+            np.subtract(P0s, t0[:, s0:s1], out=R0s)
+            np.multiply(R0s, hs, out=cps)
+            np.add(c0s, cps, out=cps)
+            np.maximum(cps, floor, out=cps)
+
+        self._dispatch(m, tile)
+        # full-mask flatnonzero on the calling thread is the ascending
+        # enumeration with no index math.
+        return cp, Lh, R0, np.flatnonzero(sm)
 
     def corrector(
         self,
@@ -440,77 +421,44 @@ class FastKernel:
         c1 = self.mat("c1", m)
         divide = self._pl_pending[1]
         self._pl_pending[1] = False
-        spans = self._spans(m)
         if self._c is not None and c0.flags.c_contiguous and (
             Ea is None or Ea.flags.c_contiguous
         ):
             a = self._addr
-            if spans is None:
-                n = self._c.corrector(
-                    self.ns, m, a["P1"], a["L0"], a["L1"], a["R0"],
-                    a["cp"], c0.ctypes.data, h.ctypes.data,
-                    None if Ea is None else Ea.ctypes.data,
-                    thresh, floor, int(divide),
-                    a["t0"], a["Lh"], a["c1"], a["stiff_idx"],
-                )
-                return c1, Lm, Lmh, self._stiff_idx[:n]
             c0p, hp = c0.ctypes.data, h.ctypes.data
             Eap = None if Ea is None else Ea.ctypes.data
-            counts = [0] * len(spans)
-
-            def _corr_tile(si: int, s0: int, s1: int) -> None:
-                counts[si] = self._c.corrector_span(
-                    self.ns, m, s0, s1, a["P1"], a["L0"], a["L1"],
-                    a["R0"], a["cp"], c0p, hp, Eap,
-                    thresh, floor, int(divide),
-                    a["t0"], a["Lh"], a["c1"],
-                    a["stiff_idx"] + 8 * self.ns * s0,
-                )
-
-            self._pool.run(_corr_tile, spans)
-            return c1, Lm, Lmh, self._merge_stiff(spans, counts)
+            flat = self._dispatch(m, lambda s0, s1: self._c.corrector(
+                self.ns, m, s0, s1, a["P1"], a["L0"], a["L1"], a["R0"],
+                a["cp"], c0p, hp, Eap, thresh, floor, int(divide),
+                a["t0"], a["Lh"], a["c1"],
+                a["stiff_idx"] + 8 * self.ns * s0), stiff=True)
+            return c1, Lm, Lmh, flat
         sm = self.stiff_mask(m)
         t1 = self.mat("t1", m)
-        if spans is not None:
-            def _corr_tile(si: int, s0: int, s1: int) -> None:
-                L1s, cps = L1[:, s0:s1], cp[:, s0:s1]
-                c1s = c1[:, s0:s1]
-                if divide:
-                    np.maximum(cps, 1e-30, out=c1s)  # c1 scratch
-                    np.divide(L1s, c1s, out=L1s)
-                if Ea is not None:
-                    np.add(P1[:, s0:s1], Ea[:, s0:s1], out=P1[:, s0:s1])
-                np.add(L0[:, s0:s1], L1s, out=Lm[:, s0:s1])
-                np.multiply(Lm[:, s0:s1], 0.5, out=Lm[:, s0:s1])
-                np.multiply(Lm[:, s0:s1], h[s0:s1], out=Lmh[:, s0:s1])
-                np.greater(Lmh[:, s0:s1], thresh, out=sm[:, s0:s1])
-                t1s = t1[:, s0:s1]
-                np.multiply(L1s, cps, out=t1s)
-                np.subtract(P1[:, s0:s1], t1s, out=t1s)
-                np.add(R0[:, s0:s1], t1s, out=t1s)
-                np.multiply(t1s, 0.5 * h[s0:s1], out=t1s)
-                np.add(c0[:, s0:s1], t1s, out=c1s)
-                np.maximum(c1s, floor, out=c1s)
 
-            self._pool.run(_corr_tile, spans)
-            return c1, Lm, Lmh, np.flatnonzero(sm)
-        if divide:
-            np.maximum(cp, 1e-30, out=c1)  # c1 is scratch until written
-            np.divide(L1, c1, out=L1)
-        if Ea is not None:
-            np.add(P1, Ea, out=P1)
-        np.add(L0, L1, out=Lm)
-        np.multiply(Lm, 0.5, out=Lm)
-        np.multiply(Lm, h, out=Lmh)
-        np.greater(Lmh, thresh, out=sm)
-        flatm = np.flatnonzero(sm)
-        np.multiply(L1, cp, out=t1)
-        np.subtract(P1, t1, out=t1)
-        np.add(R0, t1, out=t1)  # (P0 - L0*c0) + (P1 - L1*cp)
-        np.multiply(t1, 0.5 * h, out=t1)
-        np.add(c0, t1, out=c1)
-        np.maximum(c1, floor, out=c1)
-        return c1, Lm, Lmh, flatm
+        def tile(s0: int, s1: int) -> None:
+            P1s, L1s, cps = P1[:, s0:s1], L1[:, s0:s1], cp[:, s0:s1]
+            Lms, Lmhs = Lm[:, s0:s1], Lmh[:, s0:s1]
+            c1s, t1s, hs = c1[:, s0:s1], t1[:, s0:s1], h[s0:s1]
+            if divide:
+                np.maximum(cps, 1e-30, out=c1s)  # c1: scratch until written
+                np.divide(L1s, c1s, out=L1s)
+            if Ea is not None:
+                np.add(P1s, Ea[:, s0:s1], out=P1s)
+            np.add(L0[:, s0:s1], L1s, out=Lms)
+            np.multiply(Lms, 0.5, out=Lms)
+            np.multiply(Lms, hs, out=Lmhs)
+            np.greater(Lmhs, thresh, out=sm[:, s0:s1])
+            np.multiply(L1s, cps, out=t1s)
+            np.subtract(P1s, t1s, out=t1s)
+            # (P0 - L0*c0) + (P1 - L1*cp)
+            np.add(R0[:, s0:s1], t1s, out=t1s)
+            np.multiply(t1s, 0.5 * hs, out=t1s)
+            np.add(c0[:, s0:s1], t1s, out=c1s)
+            np.maximum(c1s, floor, out=c1s)
+
+        self._dispatch(m, tile)
+        return c1, Lm, Lmh, np.flatnonzero(sm)
 
     def errmax(self, c1: np.ndarray, cp: np.ndarray) -> np.ndarray:
         """Per-point convergence error ``max_i |c1-cp| / denom``.
@@ -520,82 +468,58 @@ class FastKernel:
         final values enter the test.
         """
         m = c1.shape[1]
-        spans = self._spans(m)
+        err = self._err[:m]
         if self._c is not None and c1.flags.c_contiguous \
                 and cp.flags.c_contiguous:
-            if spans is None:
-                self._c.errmax(self.ns, m, c1.ctypes.data,
-                               cp.ctypes.data, self._addr["err"])
-            else:
-                c1p, cpp = c1.ctypes.data, cp.ctypes.data
-                ep = self._addr["err"]
-                self._pool.run(
-                    lambda si, s0, s1: self._c.errmax_span(
-                        self.ns, m, s0, s1, c1p, cpp, ep),
-                    spans)
-            return self._err[:m]
-        t0, t1 = self.mat("t0", m), self.mat("t1", m)
-        if spans is not None:
-            err = self._err[:m]
-
-            def _err_tile(si: int, s0: int, s1: int) -> None:
-                t0s, t1s = t0[:, s0:s1], t1[:, s0:s1]
-                np.subtract(c1[:, s0:s1], cp[:, s0:s1], out=t0s)
-                np.abs(t0s, out=t0s)
-                np.maximum(c1[:, s0:s1], cp[:, s0:s1], out=t1s)
-                np.maximum(t1s, 1e-7, out=t1s)
-                np.divide(t0s, t1s, out=t0s)
-                t0s.max(axis=0, out=err[s0:s1])
-
-            self._pool.run(_err_tile, spans)
+            c1p, cpp, ep = c1.ctypes.data, cp.ctypes.data, self._addr["err"]
+            self._dispatch(m, lambda s0, s1: self._c.errmax(
+                self.ns, m, s0, s1, c1p, cpp, ep))
             return err
-        np.subtract(c1, cp, out=t0)
-        np.abs(t0, out=t0)
-        np.maximum(c1, cp, out=t1)
-        np.maximum(t1, 1e-7, out=t1)
-        np.divide(t0, t1, out=t0)
-        return t0.max(axis=0)
+        t0, t1 = self.mat("t0", m), self.mat("t1", m)
+
+        def tile(s0: int, s1: int) -> None:
+            t0s, t1s = t0[:, s0:s1], t1[:, s0:s1]
+            np.subtract(c1[:, s0:s1], cp[:, s0:s1], out=t0s)
+            np.abs(t0s, out=t0s)
+            np.maximum(c1[:, s0:s1], cp[:, s0:s1], out=t1s)
+            np.maximum(t1s, 1e-7, out=t1s)
+            np.divide(t0s, t1s, out=t0s)
+            t0s.max(axis=0, out=err[s0:s1])
+
+        self._dispatch(m, tile)
+        return err
 
     # ------------------------------------------------------------------
-    # batched-ensemble data movement
+    # active-column data movement
     # ------------------------------------------------------------------
     def gather_cols(
         self, src: np.ndarray, idx: np.ndarray, name: str = "c0",
     ) -> np.ndarray:
         """Gather ``src[:, idx]`` into the named workspace buffer.
 
-        Pure data movement (bitwise-trivial); the C backend fuses the
-        column gather into one pass, which matters when the batched
-        ensemble sweep gathers hundreds of thousands of columns per
-        adaptive iteration.  ``idx`` must be int64 and ascending-sorted
-        the way the callers produce it.  ``name`` defaults to the
-        solver's ``c0`` state buffer; the tiled solver also gathers
-        emissions into ``Ea``.
+        Fancy column indexing would return an F-ordered array; this
+        gathers into a C-contiguous workspace buffer instead (same
+        values, the layout the fused kernels want — every consumer is
+        elementwise, the BLAS operands are always the separate ``rates``
+        buffer).  Pure data movement (bitwise-trivial); the C backend
+        fuses it into one pass, which matters when the batched ensemble
+        sweep gathers hundreds of thousands of columns per adaptive
+        iteration.  ``idx`` must be int64 and ascending-sorted the way
+        the callers produce it.  ``name`` defaults to the solver's
+        ``c0`` state buffer; :meth:`substep` also gathers emissions
+        into ``Ea``.
         """
         m = idx.size
         out = self.mat(name, m)
-        spans = self._spans(m)
         if self._c is not None and src.flags.c_contiguous \
                 and idx.flags.c_contiguous:
-            if spans is None:
-                self._c.gather_cols(self.ns, src.shape[1], m,
-                                    src.ctypes.data, idx.ctypes.data,
-                                    self._addr[name])
-            else:
-                sp, ip = src.ctypes.data, idx.ctypes.data
-                ncols, op = src.shape[1], self._addr[name]
-                self._pool.run(
-                    lambda si, s0, s1: self._c.gather_cols_span(
-                        self.ns, ncols, m, s0, s1, sp, ip, op),
-                    spans)
-            return out
-        if spans is not None:
-            self._pool.run(
-                lambda si, s0, s1: np.take(
-                    src, idx[s0:s1], axis=1, out=out[:, s0:s1]),
-                spans)
-            return out
-        np.take(src, idx, axis=1, out=out)
+            sp, ip = src.ctypes.data, idx.ctypes.data
+            ncols, op = src.shape[1], self._addr[name]
+            self._dispatch(m, lambda s0, s1: self._c.gather_cols(
+                self.ns, ncols, m, s0, s1, sp, ip, op))
+        else:
+            self._dispatch(m, lambda s0, s1: np.take(
+                src, idx[s0:s1], axis=1, out=out[:, s0:s1]))
         return out
 
     def scatter_cols(
@@ -606,34 +530,85 @@ class FastKernel:
 
         The accepted-substep scatter ``dst[:, idx[ok]] = src[:, ok]``
         without materializing the intermediate fancy-index arrays.
-        Tiles write disjoint destination columns (``idx`` ascending),
+        Spans write disjoint destination columns (``idx`` ascending),
         so the tiled scatter is race-free and bit-identical.
         """
-        spans = self._spans(idx.size)
+        m = idx.size
         if self._c is not None and dst.flags.c_contiguous \
                 and src.flags.c_contiguous and idx.flags.c_contiguous \
                 and ok.flags.c_contiguous:
-            if spans is None:
-                self._c.scatter_cols(self.ns, dst.shape[1], idx.size,
-                                     src.ctypes.data, idx.ctypes.data,
-                                     ok.ctypes.data, dst.ctypes.data)
-                return
             sp, ip = src.ctypes.data, idx.ctypes.data
-            okp, dp = ok.ctypes.data, dst.ctypes.data
-            ncols = dst.shape[1]
-            self._pool.run(
-                lambda si, s0, s1: self._c.scatter_cols_span(
-                    self.ns, ncols, idx.size, s0, s1, sp, ip, okp, dp),
-                spans)
-            return
-        if spans is not None:
-            self._pool.run(
-                lambda si, s0, s1: dst.__setitem__(
-                    (slice(None), idx[s0:s1][ok[s0:s1]]),
-                    src[:, s0:s1][:, ok[s0:s1]]),
-                spans)
-            return
-        dst[:, idx[ok]] = src[:, ok]
+            okp, dp, ncols = ok.ctypes.data, dst.ctypes.data, dst.shape[1]
+            self._dispatch(m, lambda s0, s1: self._c.scatter_cols(
+                self.ns, ncols, m, s0, s1, sp, ip, okp, dp))
+        else:
+            self._dispatch(m, lambda s0, s1: dst.__setitem__(
+                (slice(None), idx[s0:s1][ok[s0:s1]]),
+                src[:, s0:s1][:, ok[s0:s1]]))
+
+    # ------------------------------------------------------------------
+    # the hybrid substep
+    # ------------------------------------------------------------------
+    def substep(
+        self,
+        c0: np.ndarray,
+        k: np.ndarray,
+        h: np.ndarray,
+        E: Optional[np.ndarray],
+        idx: np.ndarray,
+        full: bool,
+        reuse_pl: bool,
+        col_slices: Optional[Sequence[Tuple[int, int]]],
+        thresh: float,
+        floor: float,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Workspace-backed hybrid substep; ``(corrected, predicted)``.
+
+        Bitwise equal to :meth:`repro.chemistry.reference.
+        ReferenceStages.substep`.  The optimizations are
+        exactness-preserving: ``out=`` buffers (or the C fused loops),
+        the shared ``R0 = P0 - L0*c0`` subexpression (used by both the
+        explicit predictor and the trapezoidal corrector), a single
+        ``L*h`` product per stage feeding both the stiffness mask and
+        the asymptotic decay, and the asymptotic update evaluated only
+        on the stiff subset (gather/compute/scatter; elementwise ops
+        are subset-stable).  ``reuse_pl`` skips the first mechanism
+        evaluation when slot 0 already holds ``(P0, L0)`` at ``c0``.
+        """
+        m = c0.shape[1]
+        if not reuse_pl:
+            self.production_loss(c0, k, 0, defer_finish=True,
+                                 col_slices=col_slices)
+        P0, L0 = self.mat("P0", m), self.mat("L0", m)
+        Ea = None
+        if E is not None:
+            Ea = E if full else self.gather_cols(E, idx, name="Ea")
+
+        # --- predictor -------------------------------------------------
+        cp, Lh, _R0, flat = self.predictor(c0, h, Ea, thresh, floor)
+        if flat.size:
+            vals = asymptotic_subset(
+                c0.ravel()[flat],
+                P0.ravel()[flat],
+                L0.ravel()[flat],
+                Lh.ravel()[flat],
+            )
+            cp.ravel()[flat] = np.maximum(vals, floor)
+
+        # --- corrector -------------------------------------------------
+        P1, _L1 = self.production_loss(cp, k, 1, defer_finish=True,
+                                       col_slices=col_slices)
+        c1, Lm, Lmh, flatm = self.corrector(cp, c0, h, Ea, thresh, floor)
+        if flatm.size:
+            Pmf = 0.5 * (P0.ravel()[flatm] + P1.ravel()[flatm])
+            vals = asymptotic_subset(
+                c0.ravel()[flatm],
+                Pmf,
+                Lm.ravel()[flatm],
+                Lmh.ravel()[flatm],
+            )
+            c1.ravel()[flatm] = np.maximum(vals, floor)
+        return c1, cp
 
 
 def asymptotic_subset(
@@ -641,7 +616,7 @@ def asymptotic_subset(
 ) -> np.ndarray:
     """The Young–Boris asymptotic update on gathered flat subsets.
 
-    Mirrors ``YoungBorisSolver._asymptotic`` element-for-element:
+    Mirrors ``reference._asymptotic`` element-for-element:
     ``ceq + (c - ceq) * exp(-min(L*h, 50))`` with ``ceq = P/L`` guarded
     at zero loss.  ``Lhf`` must hold the already-formed ``L*h`` values
     for the subset (same product the mask was computed from).  ``exp``

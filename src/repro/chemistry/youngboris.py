@@ -115,15 +115,17 @@ class YoungBorisSolver:
     fast:
         Use the workspace-backed fast kernel
         (:mod:`repro.chemistry.kernel`).  Results are bitwise identical
-        to the reference path; ``fast=False`` keeps the original
-        allocation-per-substep implementation for cross-checking.
+        to the reference stages; ``fast=False`` selects the original
+        allocation-per-substep implementation
+        (:mod:`repro.chemistry.reference`) for cross-checking.
     workers / tile_cols / tile_min_cols:
         Multi-core tiling of the fast kernel's elementwise stages
         (:mod:`repro.chemistry.tiling`).  ``workers > 1`` (or an
         explicit ``tile_cols``) fans columns out over a persistent
         thread pool; results stay bitwise identical for every worker
         count and tile size, so this is purely a wall-clock knob.
-        Ignored by the ``fast=False`` reference path.
+        Ignored by the ``fast=False`` reference stages.  Whoever
+        integrates with a pool owns it: call :meth:`close` when done.
     """
 
     def __init__(
@@ -161,19 +163,34 @@ class YoungBorisSolver:
         self.tile_min_cols = int(tile_min_cols)
         self._kern: Optional["FastKernel"] = None
         self._pool = None
+        self._tile_seen: Optional[List[dict]] = None
 
-    def _kernel(self) -> "FastKernel":
+    def _stages(self):
+        """The stage backend, chosen once per call and never per substep.
+
+        Both backends answer the same five calls (``evaluate``,
+        ``gather_cols``, ``substep``, ``errmax``, ``scatter_cols``):
+        the workspace-backed :class:`~repro.chemistry.kernel.FastKernel`
+        or the allocation-per-substep oracle
+        :class:`~repro.chemistry.reference.ReferenceStages`.
+        """
+        if not self.fast:
+            from repro.chemistry.reference import ReferenceStages
+
+            return ReferenceStages(self.mechanism)
         if self._kern is None:
             from repro.chemistry.kernel import FastKernel
 
             self._kern = FastKernel(self.mechanism)
-            if self.workers > 1 or self.tile_cols is not None:
-                from repro.chemistry.tiling import TilePool
+        if self._pool is None and (
+            self.workers > 1 or self.tile_cols is not None
+        ):
+            from repro.chemistry.tiling import TilePool
 
-                self._pool = TilePool(self.workers)
-                self._kern.configure_tiling(
-                    self._pool, self.tile_cols, self.tile_min_cols
-                )
+            self._pool = TilePool(self.workers)
+            self._kern.configure_tiling(
+                self._pool, self.tile_cols, self.tile_min_cols
+            )
         return self._kern
 
     def close(self) -> None:
@@ -181,12 +198,41 @@ class YoungBorisSolver:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
+            self._tile_seen = None
             if self._kern is not None:
                 self._kern.configure_tiling(None)
 
     def tile_stats(self) -> list:
         """Per-worker ``{worker, busy_s, tasks, cols}`` accounting."""
         return [] if self._pool is None else self._pool.snapshot()
+
+    def emit_tile_spans(self, tracer, start: float) -> None:
+        """Emit one per-worker tile span covering ``[start, now]``.
+
+        Each span carries the worker's *busy* seconds (time inside tile
+        kernels since the previous emission) plus dispatch/column
+        counts, nesting under whatever region span the caller holds
+        open (the hour loop calls this inside its ``chemistry`` span).
+        No-op without a pool — the single-span trace shape is unchanged.
+        """
+        stats = self.tile_stats()
+        if not stats:
+            return
+        end = tracer.now()
+        prev = self._tile_seen
+        for w, cur in enumerate(stats):
+            old = prev[w] if prev is not None else None
+            busy = cur["busy_s"] - (old["busy_s"] if old else 0.0)
+            tasks = cur["tasks"] - (old["tasks"] if old else 0)
+            cols = cur["cols"] - (old["cols"] if old else 0)
+            if tasks == 0:
+                continue
+            tracer.emit(
+                f"chem:tile:w{w}", "compute", start, end,
+                node=w, busy=min(busy, max(end - start, 0.0)),
+                tasks=tasks, cols=cols,
+            )
+        self._tile_seen = stats
 
     # ------------------------------------------------------------------
     def choose_substeps(
@@ -199,43 +245,14 @@ class YoungBorisSolver:
         that the hybrid scheme treats explicitly; stiff species are
         handled stably by the asymptotic update and do not constrain h.
         """
-        P, L = self._mech_pl(np.atleast_2d(conc), k, col_slices)
-        return self._substeps_from(P, L, np.atleast_2d(conc), dt)
-
-    def _mech_pl(
-        self, conc: np.ndarray, k: np.ndarray,
-        col_slices: Optional[Sequence[Tuple[int, int]]],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Reference mechanism evaluation, optionally per column slice.
-
-        ``col_slices`` (batched ensembles) evaluates each member's
-        column range separately so the ``(35, n_r) @ (n_r, m)`` matmul
-        inside ``Mechanism.production_loss`` sees exactly the operand
-        the member's independent run would; stitching the results back
-        together is pure data movement.  Everything else in the
-        evaluation is elementwise per column, hence slice-invariant.
-        """
-        if col_slices is None:
-            return self.mechanism.production_loss(conc, k)
-        P = np.empty_like(conc)
-        L = np.empty_like(conc)
-        for start, stop in col_slices:
-            if stop > start:
-                Ps, Ls = self.mechanism.production_loss(
-                    conc[:, start:stop], k
-                )
-                P[:, start:stop] = Ps
-                L[:, start:stop] = Ls
-        return P, L
+        c = np.atleast_2d(conc)
+        P, L = self._stages().evaluate(c, k, col_slices)
+        return self._substeps_from(P, L, c, dt)
 
     def _substeps_from(
         self, P: np.ndarray, L: np.ndarray, c: np.ndarray, dt: float
     ) -> np.ndarray:
-        """Substep counts from an already-evaluated ``(P, L)`` state.
-
-        Split out so the fast path can reuse the evaluation for the
-        first substep (the state is unchanged between them).
-        """
+        """Substep counts from an already-evaluated ``(P, L)`` state."""
         rate = np.abs(P - L * c)
         # Dynamic absolute scale: 1% of the point's largest mixing ratio
         # (so trace species near zero do not force the minimum step).
@@ -307,11 +324,7 @@ class YoungBorisSolver:
         # criterion of the original paper); otherwise the point retries
         # with half the step.  This is what keeps the stiff (asymptotic)
         # and non-stiff (trapezoidal) updates flux-consistent.
-        fast = self.fast
-        kern = None
-        if fast:
-            kern = self._kernel()
-            kern.ensure(npts)
+        stages = self._stages()
         edges = None
         full_slices = None
         if member_edges is not None:
@@ -324,105 +337,60 @@ class YoungBorisSolver:
                 )
             full_slices = list(zip(edges[:-1].tolist(), edges[1:].tolist()))
         if npts:
-            if fast:
-                # The fast path reuses this evaluation as the first
-                # substep's (P0, L0): the state has not changed.
-                P_init, L_init = kern.production_loss(
-                    c, k, 0, col_slices=full_slices
-                )
-                nsub0 = self._substeps_from(P_init, L_init, c, dt)
-            else:
-                nsub0 = self.choose_substeps(c, k, dt, full_slices)
+            # The first substep reuses this evaluation as its (P0, L0):
+            # the state has not changed.
+            P_init, L_init = stages.evaluate(c, k, full_slices)
+            nsub0 = self._substeps_from(P_init, L_init, c, dt)
         else:
             nsub0 = np.zeros(0, int)
         h = np.minimum(dt / np.maximum(nsub0, 1), self.h_max)
         h_min = dt / self.max_substeps
         remaining = np.full(npts, float(dt))
         attempts = np.zeros(npts, dtype=int)
-        accepted = np.zeros(npts, dtype=int)
         all_idx = np.arange(npts)
         # Hard iteration bound: enough for max_substeps acceptances plus
-        # halving cascades; beyond it, steps are force-accepted anyway.
+        # halving cascades.  Iteration ``max_iters`` itself is the
+        # forced one: the budget is exhausted, so the stragglers finish
+        # in one accepted step each and the integration always
+        # completes dt.
         max_iters = 4 * self.max_substeps
 
-        for it in range(max_iters):
+        for it in range(max_iters + 1):
             active = remaining > 1e-9 * dt
             if not active.any():
                 break
+            forced = it == max_iters
             full = bool(active.all())
             if full:
                 # All points active: operate on `c` directly — same
                 # values as the gathered copy, no 35 x npts move.
                 idx = all_idx
-                ha = np.minimum(h, remaining)
+                hs, rs = h, remaining
                 ca = c
                 slices = full_slices
             else:
                 idx = np.where(active)[0]
-                ha = np.minimum(h[idx], remaining[idx])
-                if fast:
-                    # Fancy column indexing returns an F-ordered array;
-                    # gather into a C-contiguous workspace buffer
-                    # instead (same values, layout the fused kernels
-                    # want — every consumer is elementwise, the BLAS
-                    # operands are always the separate `rates` buffer).
-                    ca = kern.gather_cols(c, idx)
-                else:
-                    ca = c[:, idx]
+                hs, rs = h[idx], remaining[idx]
+                ca = stages.gather_cols(c, idx)
                 slices = _active_slices(idx, edges)
-            if fast:
-                c1, cp = self._substep_fast(
-                    kern, ca, k, ha, E, idx, full, reuse_pl=(it == 0),
-                    col_slices=slices,
-                )
-                err = kern.errmax(c1, cp)
-            else:
-                Ea = E[:, idx] if E is not None else None
-                c1, cp = self._substep(ca, k, ha, Ea, slices)
-                # Convergence metric over species (CHEMEQ-style).
-                denom = np.maximum(np.maximum(c1, cp), 1e-7)
-                err = np.max(np.abs(c1 - cp) / denom, axis=0)
+            ha = rs.copy() if forced else np.minimum(hs, rs)
+            c1, cp = stages.substep(
+                ca, k, ha, E, idx, full, it == 0, slices,
+                self.stiff_threshold, self.floor,
+            )
             attempts[idx] += 1
-            ok = (err <= 3.0 * self.eps) | (ha <= h_min * 1.0001)
+            if forced:
+                ok = np.ones(idx.size, dtype=bool)
+            else:
+                err = stages.errmax(c1, cp)
+                ok = (err <= 3.0 * self.eps) | (ha <= h_min * 1.0001)
             acc = idx[ok]
             rej = idx[~ok]
-            if fast:
-                kern.scatter_cols(c, c1, idx, ok)
-            else:
-                c[:, acc] = c1[:, ok]
+            stages.scatter_cols(c, c1, idx, ok)
             remaining[acc] -= ha[ok]
-            accepted[acc] += 1
             # Mild growth after success, halving after failure.
             h[acc] = np.minimum(h[acc] * 1.26, self.h_max)
             h[rej] = np.maximum(h[rej] * 0.5, h_min)
-        else:
-            # Iteration budget exhausted: finish the stragglers in one
-            # forced step each so the integration always completes dt.
-            active = remaining > 1e-9 * dt
-            idx = np.where(active)[0]
-            if idx.size:
-                full = bool(active.all())
-                if full:
-                    ca = c
-                    slices = full_slices
-                else:
-                    slices = _active_slices(idx, edges)
-                    if fast:
-                        ca = kern.gather_cols(c, idx)
-                    else:
-                        ca = c[:, idx]
-                if fast:
-                    c1, _ = self._substep_fast(
-                        kern, ca, k, remaining[idx], E, idx, full,
-                        reuse_pl=False, col_slices=slices,
-                    )
-                else:
-                    Ea = E[:, idx] if E is not None else None
-                    c1, _ = self._substep(ca, k, remaining[idx], Ea, slices)
-                c[:, idx] = c1
-                attempts[idx] += 1
-                accepted[idx] += 1
-                remaining[idx] = 0.0
 
         if stats is not None:
             local = ChemistryStats(
@@ -436,124 +404,3 @@ class YoungBorisSolver:
             )
             stats.merge(local)
         return c if np.ndim(conc) == 2 else c[:, 0]
-
-    # ------------------------------------------------------------------
-    def _substep_fast(
-        self,
-        kern,
-        c0: np.ndarray,
-        k: np.ndarray,
-        h: np.ndarray,
-        E: Optional[np.ndarray],
-        idx: np.ndarray,
-        full: bool,
-        reuse_pl: bool,
-        col_slices: Optional[Sequence[Tuple[int, int]]] = None,
-    ):
-        """Workspace-backed hybrid substep, bitwise equal to ``_substep``.
-
-        The optimizations are exactness-preserving: ``out=`` buffers
-        (or the C fused loops — see :mod:`repro.chemistry.kernel`), the
-        shared ``R0 = P0 - L0*c0`` subexpression (used by both the
-        explicit predictor and the trapezoidal corrector), a single
-        ``L*h`` product per stage feeding both the stiffness mask and
-        the asymptotic decay, and the asymptotic update evaluated only
-        on the stiff subset (gather/compute/scatter; elementwise ops
-        are subset-stable).  ``reuse_pl`` skips the first mechanism
-        evaluation when slot 0 already holds ``(P0, L0)`` at ``c0``.
-        """
-        from repro.chemistry.kernel import asymptotic_subset
-
-        m = c0.shape[1]
-        if not reuse_pl:
-            kern.production_loss(c0, k, 0, defer_finish=True,
-                                 col_slices=col_slices)
-        P0, L0 = kern.mat("P0", m), kern.mat("L0", m)
-        Ea = None
-        if E is not None:
-            # gather_cols tiles the column gather when a pool is
-            # configured; pure data movement either way.
-            Ea = E if full else kern.gather_cols(E, idx, name="Ea")
-
-        # --- predictor -------------------------------------------------
-        cp, Lh, _R0, flat = kern.predictor(
-            c0, h, Ea, self.stiff_threshold, self.floor
-        )
-        if flat.size:
-            vals = asymptotic_subset(
-                c0.ravel()[flat],
-                P0.ravel()[flat],
-                L0.ravel()[flat],
-                Lh.ravel()[flat],
-            )
-            cp.ravel()[flat] = np.maximum(vals, self.floor)
-
-        # --- corrector -------------------------------------------------
-        P1, _L1 = kern.production_loss(cp, k, 1, defer_finish=True,
-                                       col_slices=col_slices)
-        c1, Lm, Lmh, flatm = kern.corrector(
-            cp, c0, h, Ea, self.stiff_threshold, self.floor
-        )
-        if flatm.size:
-            Pmf = 0.5 * (P0.ravel()[flatm] + P1.ravel()[flatm])
-            vals = asymptotic_subset(
-                c0.ravel()[flatm],
-                Pmf,
-                Lm.ravel()[flatm],
-                Lmh.ravel()[flatm],
-            )
-            c1.ravel()[flatm] = np.maximum(vals, self.floor)
-        return c1, cp
-
-    # ------------------------------------------------------------------
-    def _substep(
-        self,
-        c0: np.ndarray,
-        k: np.ndarray,
-        h: np.ndarray,
-        emissions: Optional[np.ndarray],
-        col_slices: Optional[Sequence[Tuple[int, int]]] = None,
-    ):
-        """One hybrid predictor/corrector substep (vector over points).
-
-        Returns ``(corrected, predicted)`` so the caller can apply the
-        convergence test.
-        """
-        P0, L0 = self._mech_pl(c0, k, col_slices)
-        if emissions is not None:
-            P0 = P0 + emissions
-        cp = self._predict(c0, P0, L0, h)
-
-        P1, L1 = self._mech_pl(cp, k, col_slices)
-        if emissions is not None:
-            P1 = P1 + emissions
-
-        # Corrector.  Stiff species: asymptotic update with averaged
-        # coefficients (Young & Boris eq. 7).  Non-stiff species: true
-        # trapezoidal rule, which preserves the production/loss symmetry
-        # (and hence elemental mass) exactly.
-        Pm = 0.5 * (P0 + P1)
-        Lm = 0.5 * (L0 + L1)
-        stiff = Lm * h > self.stiff_threshold
-        asym = self._asymptotic(c0, Pm, Lm, h)
-        trap = c0 + 0.5 * h * ((P0 - L0 * c0) + (P1 - L1 * cp))
-        corrected = np.maximum(np.where(stiff, asym, trap), self.floor)
-        return corrected, cp
-
-    def _predict(
-        self, c0: np.ndarray, P: np.ndarray, L: np.ndarray, h: np.ndarray
-    ) -> np.ndarray:
-        Lh = L * h  # (ns, np)
-        stiff = Lh > self.stiff_threshold
-        asym = self._asymptotic(c0, P, L, h)
-        expl = c0 + h * (P - L * c0)
-        return np.maximum(np.where(stiff, asym, expl), self.floor)
-
-    def _asymptotic(
-        self, c0: np.ndarray, P: np.ndarray, L: np.ndarray, h: np.ndarray
-    ) -> np.ndarray:
-        """Exact solution for frozen P, L: c -> P/L + (c - P/L) e^{-Lh}."""
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ceq = np.where(L > 0, P / np.maximum(L, 1e-300), 0.0)
-            decay = np.exp(-np.minimum(L * h, 50.0))
-        return ceq + (c0 - ceq) * decay

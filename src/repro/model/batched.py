@@ -41,19 +41,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.chemistry import ChemistryStats
-from repro.chemistry.youngboris import OPS_PER_SUBSTEP_PER_SPECIES
-from repro.io.hourly import inputhour, outputhour, pretrans
 from repro.model.config import AirshedConfig
 from repro.model.ensemble import EmissionEnsemble, EnsembleSummary
 from repro.model.physics import AirshedPhysics
-from repro.model.results import (
-    AirshedResult,
-    HourTrace,
-    StepTrace,
-    WorkloadTrace,
-)
-from repro.model.sequential import TRACKED_SPECIES
+from repro.model.results import AirshedResult
+from repro.model.sequential import TRACKED_SPECIES, hour_loop
 from repro.observe.tracer import Tracer
 
 __all__ = ["BatchedEnsemble", "run_batched"]
@@ -98,193 +90,10 @@ def run_batched(
     relies on when some members are already science-cached.
     """
     _check_fusable(configs)
-    tracer = tracer if tracer is not None else Tracer()
-    nmem = len(configs)
-    phys = AirshedPhysics(configs[0])
-    solver = phys.solver
-    datasets = [cfg.dataset for cfg in configs]
-    ns, nl, npts = datasets[0].shape
-    cells = nl * npts
-    edges = np.arange(nmem + 1, dtype=np.int64) * cells
-
-    concs = [cfg.starting_concentrations() for cfg in configs]
-    traces = [
-        WorkloadTrace(dataset_name=ds.name, shape=ds.shape)
-        for ds in datasets
-    ]
-    hourly_mean: List[Dict[str, List[float]]] = [
-        {s: [] for s in TRACKED_SPECIES} for _ in range(nmem)
-    ]
-    surfaces: List[List[np.ndarray]] = [[] for _ in range(nmem)]
-    mech = datasets[0].mechanism
-    track_surface = configs[0].track_surface_fields
-
-    batch = np.empty((ns, nmem * cells))
-    E_b = np.empty((ns, nmem * cells))
-
-    span = tracer.span
-    for h_idx in range(configs[0].hours):
-        hour = configs[0].hour_of_day(h_idx)
-        with span(f"hour:{hour:02d}", kind="hour", hour=hour,
-                  members=nmem):
-            # --- inputhour per member (each parses its own scaled
-            # inventory through the real pack/unpack), pretrans once ---
-            with span("io:inputhour", kind="io", members=nmem):
-                inres = [inputhour(ds, hour) for ds in datasets]
-            conds = [r.conditions for r in inres]
-            # Perturbation touches only emissions; meteorology is the
-            # base dataset's, identical for every member.
-            for cond in conds[1:]:
-                if (cond.temperature != conds[0].temperature
-                        or cond.sun != conds[0].sun):
-                    raise ValueError(
-                        "members disagree on meteorology; cannot batch"
-                    )
-            nsteps, dt = phys.hour_steps(hour)
-            with span("io:pretrans", kind="io"):
-                operators, pre_ops = pretrans(
-                    datasets[0], phys.transport, hour, dt / 2.0
-                )
-
-            steps: List[List[StepTrace]] = [[] for _ in range(nmem)]
-            for j in range(nsteps):
-                with span(f"step:{j}", kind="step", index=j):
-                    with span("transport", kind="compute", members=nmem):
-                        t1 = [
-                            _transport_all(phys, concs[i], operators,
-                                           conds[i])
-                            for i in range(nmem)
-                        ]
-                    with span("chemistry", kind="compute", members=nmem):
-                        t_chem = tracer.now()
-                        chem_ops = _chemistry_batched(
-                            phys, solver, concs, conds, dt,
-                            batch, E_b, edges, tracer,
-                        )
-                        # Per-worker tile spans (no-op without a pool).
-                        phys.chemistry.emit_tile_spans(tracer, t_chem)
-                    with span("aerosol", kind="compute", members=nmem):
-                        # The condensation sink is each member's own
-                        # domain-global aerosol mean: strictly per run.
-                        aero_ops = [
-                            phys.aerosol_step(concs[i])
-                            for i in range(nmem)
-                        ]
-                    with span("transport", kind="compute", members=nmem):
-                        t2 = [
-                            _transport_all(phys, concs[i], operators,
-                                           conds[i])
-                            for i in range(nmem)
-                        ]
-                for i in range(nmem):
-                    steps[i].append(
-                        StepTrace(
-                            transport1_ops=t1[i],
-                            chemistry_ops=chem_ops[i],
-                            aerosol_ops=aero_ops[i],
-                            transport2_ops=t2[i],
-                        )
-                    )
-
-            with span("io:outputhour", kind="io", members=nmem):
-                outs = [outputhour(hour, concs[i]) for i in range(nmem)]
-        for i in range(nmem):
-            _, out_bytes, out_ops = outs[i]
-            traces[i].hours.append(
-                HourTrace(
-                    hour=hour,
-                    input_bytes=inres[i].nbytes,
-                    input_ops=inres[i].ops,
-                    pretrans_ops=pre_ops,
-                    nsteps=nsteps,
-                    steps=steps[i],
-                    output_bytes=out_bytes,
-                    output_ops=out_ops,
-                )
-            )
-            for s in TRACKED_SPECIES:
-                hourly_mean[i][s].append(
-                    float(concs[i][mech.index[s]].mean())
-                )
-            if track_surface:
-                surfaces[i].append(concs[i][:, 0, :].copy())
-
-    return [
-        AirshedResult(
-            trace=traces[i],
-            final_conc=concs[i],
-            hourly_mean=hourly_mean[i],
-            hourly_surface=surfaces[i] if track_surface else None,
-        )
-        for i in range(nmem)
-    ]
-
-
-def _transport_all(phys, conc, operators, conditions) -> np.ndarray:
-    """Per-layer transport in place (SequentialAirshed._transport_all)."""
-    ops = np.zeros(phys.dataset.layers)
-    for layer, op in enumerate(operators):
-        conc[:, layer, :], ops[layer] = phys.transport_layer(
-            conc[:, layer, :], op, conditions.boundary
-        )
-    return ops
-
-
-def _chemistry_batched(
-    phys: AirshedPhysics,
-    solver,
-    concs: List[np.ndarray],
-    conds,
-    dt: float,
-    batch: np.ndarray,
-    E_b: np.ndarray,
-    edges: np.ndarray,
-    tracer: Tracer,
-) -> List[np.ndarray]:
-    """One fused ``Lcz`` application; per-member op-count arrays.
-
-    Mirrors :meth:`AirshedPhysics.chemistry_columns` with the solver
-    call batched: members are packed into ``batch``/``E_b`` (pure data
-    movement), integrated once with ``member_edges``, then unpacked for
-    the per-member vertical diffusion and accounting.
-    """
-    nmem = len(concs)
-    ns, nl, npts = concs[0].shape
-    cells = nl * npts
-    for i in range(nmem):
-        s = i * cells
-        batch[:, s:s + cells] = concs[i].reshape(ns, cells)
-        cond = conds[i]
-        E = np.zeros((ns, nl, npts))
-        E[:, 0, :] = cond.emissions
-        if cond.elevated is not None:
-            E += cond.elevated
-        E_b[:, s:s + cells] = E.reshape(ns, cells)
-
-    stats = ChemistryStats()
-    flat = solver.integrate(
-        batch, dt, conds[0].temperature, conds[0].sun,
-        emissions=E_b, stats=stats, member_edges=edges,
+    return hour_loop(
+        configs, AirshedPhysics(configs[0]),
+        tracer if tracer is not None else Tracer(),
     )
-    tracer.counters.inc("ensemble:batches")
-    tracer.counters.inc("ensemble:batched_members", nmem)
-    tracer.counters.observe("ensemble:members_per_batch", nmem)
-
-    attempts = stats.per_point_substeps
-    chem_ops: List[np.ndarray] = []
-    for i in range(nmem):
-        s = i * cells
-        out = np.ascontiguousarray(flat[:, s:s + cells]).reshape(
-            ns, nl, npts
-        )
-        out, vd_ops = phys.vertical.step(out, dt)
-        per_cell = attempts[s:s + cells].reshape(nl, npts)
-        chem_ops.append(
-            per_cell.sum(axis=0) * ns * OPS_PER_SUBSTEP_PER_SPECIES
-            + vd_ops / npts
-        )
-        concs[i] = out
-    return chem_ops
 
 
 class BatchedEnsemble(EmissionEnsemble):

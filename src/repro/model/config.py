@@ -34,7 +34,7 @@ class AirshedConfig:
     chem_eps / chem_max_substeps:
         Young-Boris solver controls (accuracy versus work).
     chem_workers / chem_tile_cols:
-        Multi-core tiled chemistry (:mod:`repro.model.tiled`):
+        Multi-core tiled chemistry (:mod:`repro.chemistry.tiling`):
         ``chem_workers > 1`` fans the solver's elementwise stages out
         over a persistent thread pool in contiguous column tiles
         (``chem_tile_cols`` wide, or one balanced tile per worker when

@@ -9,7 +9,7 @@ and every kernel is independent per layer (transport) or per grid column
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,11 +17,11 @@ from repro.chemistry import (
     AerosolModel,
     ChemistryStats,
     VerticalDiffusion,
+    YoungBorisSolver,
 )
 from repro.chemistry.youngboris import OPS_PER_SUBSTEP_PER_SPECIES
 from repro.datasets.generators import Dataset, HourlyConditions
 from repro.model.config import AirshedConfig
-from repro.model.tiled import TiledChemistry
 from repro.transport import SUPGTransport
 from repro.transport.supg import TransportOperator
 
@@ -48,17 +48,15 @@ class AirshedPhysics:
         for name, vd in DEPOSITION_VELOCITIES.items():
             deposition[mech.index[name]] = vd
 
-        self.chemistry = TiledChemistry(
+        #: ``chem_workers > 1`` gives the solver a (lazy) tile pool; the
+        #: hour loop that integrates with it closes it when done.
+        self.solver = YoungBorisSolver(
             mech,
             eps=config.chem_eps,
             max_substeps=config.chem_max_substeps,
             workers=config.chem_workers,
             tile_cols=config.chem_tile_cols,
         )
-        #: The underlying solver — kept as an attribute so the batched
-        #: ensemble engine (and tests) can drive it directly; it already
-        #: carries the tile pool when chem_workers > 1.
-        self.solver = self.chemistry.solver
         self.vertical = VerticalDiffusion(
             heights=self.dataset.layer_heights,
             kz=self.dataset.kz_profile,
@@ -118,42 +116,77 @@ class AirshedPhysics:
         selects the emission columns when operating on a partition.
         Returns the new concentrations and per-point op counts.
         """
-        ns, nl, npts = conc.shape
-        E_cols = (
-            conditions.emissions
-            if point_indices is None
-            else conditions.emissions[:, point_indices]
-        )
-        # Area emissions enter the bottom layer; elevated point sources
-        # inject into the layer their plume reaches.
-        E = np.zeros((ns, nl, npts))
-        E[:, 0, :] = E_cols
-        if conditions.elevated is not None:
-            E += (
-                conditions.elevated
+        return self.chemistry_members(
+            [conc], [conditions], dt, point_indices
+        )[0]
+
+    def chemistry_members(
+        self,
+        concs: Sequence[np.ndarray],
+        conds: Sequence[HourlyConditions],
+        dt: float,
+        point_indices: Optional[np.ndarray] = None,
+    ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """One ``Lcz`` application over every member's columns.
+
+        The members (same shape, same meteorology, own emissions) are
+        stacked along the point axis and integrated in one solver call
+        with ``member_edges`` keeping each member's matmuls on its own
+        columns; one member is the plain sequential step, integrated
+        through reshaped views with no packing at all.  Vertical
+        diffusion and the op accounting run per member.  Returns
+        ``(new concentrations, per-point op counts)`` per member.
+        """
+        nmem = len(concs)
+        ns, nl, npts = concs[0].shape
+        cells = nl * npts
+        flat_c, flat_E = [], []
+        for conc, cond in zip(concs, conds):
+            # Area emissions enter the bottom layer; elevated point
+            # sources inject into the layer their plume reaches.
+            E = np.zeros((ns, nl, npts))
+            E[:, 0, :] = (
+                cond.emissions
                 if point_indices is None
-                else conditions.elevated[:, :, point_indices]
+                else cond.emissions[:, point_indices]
             )
+            if cond.elevated is not None:
+                E += (
+                    cond.elevated
+                    if point_indices is None
+                    else cond.elevated[:, :, point_indices]
+                )
+            flat_c.append(conc.reshape(ns, cells))
+            flat_E.append(E.reshape(ns, cells))
 
         stats = ChemistryStats()
+        if nmem == 1:
+            batch, E_b, edges = flat_c[0], flat_E[0], None
+        else:
+            # Packing is pure data movement.
+            batch = np.concatenate(flat_c, axis=1)
+            E_b = np.concatenate(flat_E, axis=1)
+            edges = np.arange(nmem + 1, dtype=np.int64) * cells
         flat = self.solver.integrate(
-            conc.reshape(ns, nl * npts),
-            dt,
-            conditions.temperature,
-            conditions.sun,
-            emissions=E.reshape(ns, nl * npts),
-            stats=stats,
+            batch, dt, conds[0].temperature, conds[0].sun,
+            emissions=E_b, stats=stats, member_edges=edges,
         )
-        out = flat.reshape(ns, nl, npts)
 
-        out, vd_ops = self.vertical.step(out, dt)
-
-        per_cell = stats.per_point_substeps.reshape(nl, npts)
-        per_point_ops = (
-            per_cell.sum(axis=0) * ns * OPS_PER_SUBSTEP_PER_SPECIES
-            + vd_ops / npts
-        )
-        return out, per_point_ops
+        attempts = stats.per_point_substeps
+        results = []
+        for i in range(nmem):
+            s = i * cells
+            out = np.ascontiguousarray(flat[:, s:s + cells]).reshape(
+                ns, nl, npts
+            )
+            out, vd_ops = self.vertical.step(out, dt)
+            per_cell = attempts[s:s + cells].reshape(nl, npts)
+            results.append((
+                out,
+                per_cell.sum(axis=0) * ns * OPS_PER_SUBSTEP_PER_SPECIES
+                + vd_ops / npts,
+            ))
+        return results
 
     def aerosol_step(self, conc: np.ndarray) -> float:
         """The replicated aerosol step on the full array (in place)."""

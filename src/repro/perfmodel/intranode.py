@@ -2,8 +2,8 @@
 
 The Section 4 model prices a job's *science* seconds from its workload
 trace and a host rate; the tiled chemistry engine
-(:mod:`repro.model.tiled`) adds a second resource axis — cores handed
-to one job's worker pool.  Only the chemistry operator tiles (the
+(:mod:`repro.chemistry.tiling`) adds a second resource axis — cores
+handed to one job's worker pool.  Only the chemistry operator tiles (the
 transport, aerosol and I/O phases stay single-threaded), and within
 chemistry a serial residue remains on the dispatching thread: the two
 BLAS matmuls per mechanism evaluation, the ``np.exp`` asymptotic

@@ -76,8 +76,8 @@ class JobSpec:
         log-normal emission perturbation — the ensemble-sweep scenario.
     cores_per_job:
         Worker-pool width handed to the job's tiled chemistry engine
-        (:mod:`repro.model.tiled`).  Results are bitwise identical at
-        every core count — the tiling is a wall-clock knob — so this is
+        (:mod:`repro.chemistry.tiling`).  Results are bitwise identical
+        at every core count — the tiling is a wall-clock knob — so this is
         a presentation/placement field, never hashed: resubmitting a
         cached job with a different core count must stay a cache hit.
     tag:

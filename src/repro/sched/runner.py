@@ -131,7 +131,7 @@ class CampaignRunner:
         self.checkpoint_hours = checkpoint_hours
         self.cost_model = cost_model or CampaignCostModel(cache=self.cache)
         self.planner: Planner = planner or LPTPlanner()
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self._sleep = sleep or time.sleep
         self._clock = clock or time.monotonic
         self._lock = threading.Lock()

@@ -161,7 +161,7 @@ class CampaignService:
         self.queue = FairShareQueue()
         for tenant, weight in (tenant_weights or {}).items():
             self.queue.set_weight(tenant, weight)
-        self.tracer = tracer or Tracer()
+        self.tracer = tracer if tracer is not None else Tracer()
         self._clock = clock or time.monotonic
         self._sleep = sleep or time.sleep
         self._lock = threading.RLock()

@@ -75,13 +75,17 @@ def _assert_identical(ref, got):
 
 
 @pytest.mark.parametrize("backend", BACKENDS, indirect=True)
-@pytest.mark.parametrize("members", [2, 3], ids=["N=2", "N=3-odd"])
+@pytest.mark.parametrize("members", [1, 2, 3],
+                         ids=["N=1", "N=2", "N=3-odd"])
 def test_batched_members_bitwise_equal_independent(
     tiny_dataset, backend, members
 ):
-    ens = BatchedEnsemble(_config(tiny_dataset), members=members,
+    # An ensemble has at least two members; the one-member batch is
+    # run_batched on a single member config.
+    ens = BatchedEnsemble(_config(tiny_dataset), members=max(members, 2),
                           sigma=0.3, seed=4)
-    batched = ens.run_members()
+    batched = (ens.run_members() if members > 1
+               else run_batched([ens.member_config(0)]))
     assert len(batched) == members
     for i in range(members):
         ref = SequentialAirshed(ens.member_config(i)).run()

@@ -94,3 +94,52 @@ class TestConfig:
         cfg = AirshedConfig(dataset=tiny_dataset, hours=30, start_hour=20)
         assert cfg.hour_of_day(0) == 20
         assert cfg.hour_of_day(5) == 1
+
+
+class TestObservableShape:
+    """What a sequential run shows its observers, pinned.
+
+    The run is the shared hour loop with one member; nothing about
+    that may leak into the span stream, the counters, or what
+    ``observe.compare`` / ``tune.harvest`` derive from them.
+    """
+
+    @pytest.fixture(scope="class")
+    def demo_run(self):
+        from repro.datasets import get_dataset
+
+        model = SequentialAirshed(
+            AirshedConfig(dataset=get_dataset("demo"), hours=1))
+        return model, model.run()
+
+    def test_span_sequence(self, demo_run):
+        model, result = demo_run
+        step = [("transport", "compute", []), ("chemistry", "compute", []),
+                ("aerosol", "compute", []), ("transport", "compute", [])]
+        expected = [("hour:06", "hour", ["hour"]),
+                    ("io:inputhour", "io", []), ("io:pretrans", "io", [])]
+        for j in range(3):
+            expected += [(f"step:{j}", "step", ["index"])] + step
+        expected.append(("io:outputhour", "io", []))
+        assert [(s.name, s.kind, sorted(s.attrs))
+                for s in model.tracer.spans] == expected
+        assert len(result.trace.hours[0].steps) == 3
+
+    def test_no_counters_for_one_member(self, demo_run):
+        model, _ = demo_run
+        assert model.tracer.counters.snapshot() == {
+            "counters": {}, "histograms": {}}
+
+    def test_compare_and_harvest_outputs(self, demo_run):
+        from repro.observe.compare import breakdown
+        from repro.tune.harvest import observations_from_tracer
+
+        model, result = demo_run
+        # Wall-clock spans are not cluster phases: every Figure-4 bucket
+        # stays empty, so the harvest yields no observation.
+        assert breakdown(model.tracer) == {
+            "chemistry": 0.0, "transport": 0.0, "io": 0.0,
+            "communication": 0.0, "other": 0.0}
+        assert observations_from_tracer(
+            model.tracer, dataset="demo", machine="t3e", nprocs=4,
+            trace=result.trace, timestamp="t") == []

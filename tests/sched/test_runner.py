@@ -182,6 +182,38 @@ def test_job_spans_and_makespan(tmp_path):
     assert report2.observed_makespan_s >= 0.0
 
 
+def test_callers_empty_tracer_is_kept(tmp_path):
+    """``Tracer`` has ``__len__``: an empty one is falsy, not absent."""
+    from repro.observe import Tracer
+
+    tracer = Tracer()
+    runner, _ = make_runner(tmp_path, tracer=tracer)
+    assert runner.tracer is tracer
+    runner.run([SPEC])
+    assert [s.kind for s in tracer.spans] == ["job"]
+    assert tracer.counters.value("campaign:jobs") == 1
+
+
+def test_thread_executor_campaign_leaves_no_tile_threads(tmp_path):
+    """Every job's tiled pool dies with its run, checkpoint chunks and
+    the fused ensemble batch included."""
+    from repro.sched import ensemble_sweep
+    from tests.chemistry.test_tiled import tile_threads
+
+    assert tile_threads() == set()
+    specs = [JobSpec(dataset="tinysched", hours=2, start_hour=7,
+                     variant="data", machine="t3e", nprocs=p,
+                     cores_per_job=2) for p in (2, 8)]
+    specs += [JobSpec(**{**m.to_dict(), "cores_per_job": 2})
+              for m in ensemble_sweep(dataset="tinysched", members=2,
+                                      hours=1)]
+    runner, _ = make_runner(tmp_path, executor="thread")
+    report = runner.run(specs)
+    assert report.complete, report.render()
+    assert report.counters["campaign:batches"] == 1
+    assert tile_threads() == set()
+
+
 def test_retry_backoff_excluded_from_observed_makespan(tmp_path):
     from repro.observe.compare import observed_makespan
 

@@ -44,6 +44,17 @@ class TestSubmitRunStatus:
         assert [r["status"] for r in rows] == ["ok", "ok"]
         assert len({r["sha256"] for r in rows}) == 1  # same science
 
+    def test_callers_empty_tracer_is_kept(self, tmp_path):
+        """``Tracer`` has ``__len__``: an empty one is falsy, not absent."""
+        from repro.observe import Tracer
+
+        tracer = Tracer()
+        svc = make_service(tmp_path / "svc", tracer=tracer)
+        assert svc.tracer is tracer
+        svc.submit("alice", ladder())
+        svc.run_until_idle()
+        assert tracer.counters.value("service:waves") == 1
+
     def test_empty_submission_rejected(self, tmp_path):
         svc = make_service(tmp_path / "svc")
         with pytest.raises(ValueError):
