@@ -33,6 +33,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict
 
+from repro.durable import atomic_write
+
 __all__ = ["DeterminismError", "sanitize_enabled", "check_digest"]
 
 _ENV_FLAG = "REPRO_SANITIZE"
@@ -98,6 +100,4 @@ def check_digest(fields: Dict[str, Any], payload: str, digest: str) -> None:
             )
         return
     entry.parent.mkdir(parents=True, exist_ok=True)
-    tmp = entry.with_suffix(f".tmp-{os.getpid()}")
-    tmp.write_text(payload)
-    tmp.replace(entry)
+    atomic_write(entry, payload.encode(), fsync=False)

@@ -16,8 +16,8 @@ Layers (see ``docs/SCHEDULER.md``):
 * :mod:`repro.sched.job` — :class:`JobSpec` (content-hashed identity)
   and :class:`JobResult`;
 * :mod:`repro.sched.cache` — :class:`ResultCache`, the on-disk
-  content-addressed store, and :class:`ShardedResultCache`, its
-  sharded, size-capped, LRU-evicting service-grade evolution;
+  content-addressed store: sharded, optionally size-capped with LRU
+  eviction (:class:`ShardedResultCache` is the same class);
 * :mod:`repro.sched.costmodel` — :class:`CampaignCostModel`, pricing
   jobs with :mod:`repro.perfmodel` before anything runs;
 * :mod:`repro.sched.planner` — dedupe, science-chaining and LPT

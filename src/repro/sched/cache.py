@@ -1,12 +1,12 @@
-"""Content-addressed on-disk result caches for campaign jobs.
+"""Content-addressed on-disk result cache for campaign jobs.
 
 :class:`ResultCache` — the reference
 :class:`~repro.sched.interfaces.ResultStore` — lays out entries under
 its root::
 
-    science/<k[:2]>/<k>.pkl   one AirshedResult per science key
-    jobs/<k[:2]>/<k>.pkl      job payload: spec, science key, timing
-    scratch/<science_key>/    in-flight checkpoint chunks (see runner)
+    science/shard-NNN/<k>.pkl   one AirshedResult per science key
+    jobs/shard-NNN/<k>.pkl      job payload: spec, science key, timing
+    scratch/<science_key>/      in-flight checkpoint chunks (see runner)
 
 Science results (the expensive sequential numerics) are stored once per
 *science* key; a job entry references its science key instead of
@@ -15,22 +15,12 @@ pickle across all its replay jobs.  Keys are the
 :class:`~repro.sched.job.JobSpec` content hashes, and builders are
 deterministic, so a cache hit returns a bitwise-identical result.
 
-Writes are atomic (temp file + ``os.replace``): a campaign killed
-mid-write never leaves a truncated entry behind.  Unreadable entries
-are treated as misses and removed on the get path; :meth:`iter_jobs`
-merely skips them (a status scan must not abort — or delete — anything
-because one entry rotted).  Every cache instance keeps hit/miss/
-eviction/corrupt tallies, exposed by :meth:`stats` together with
-per-shard occupancy (for the plain cache the ``<k[:2]>`` fan-out
-directories are the shards).
-
-:class:`ShardedResultCache` is the service-grade evolution: a fixed
-shard count (stable hash of the key, so occupancy is inspectable per
-shard), a total size cap, and LRU eviction — reads touch the entry's
-mtime, and a put that pushes the cache over ``max_bytes`` evicts the
-least-recently-used entries (jobs before science, then oldest first)
-until it fits, so an always-on service can absorb millions of
-overlapping submissions without unbounded disk growth.
+Writes go through :func:`repro.durable.atomic_write` without fsync: a
+campaign killed mid-write never leaves a truncated entry behind, and an
+entry lost to a power cut is re-derived.  Unreadable entries are misses,
+removed on the get path; :meth:`~ResultCache.iter_jobs` merely skips
+them.  Every instance keeps hit/miss/eviction/corrupt tallies, exposed
+by :meth:`~ResultCache.stats` together with per-shard occupancy.
 """
 
 from __future__ import annotations
@@ -39,17 +29,40 @@ import os
 import pickle
 import threading
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, Optional, Tuple, Union
+
+from repro.durable import atomic_write
 
 __all__ = ["ResultCache", "ShardedResultCache"]
 
 
 class ResultCache:
-    """Campaign result store rooted at a directory."""
+    """Sharded, optionally size-capped, LRU-evicting result store.
 
-    def __init__(self, root: Union[str, Path]):
+    ``shards`` is a fixed count; an entry's shard is a stable function
+    of its content hash (``int(key[:8], 16) % shards``), so occupancy
+    per shard is inspectable and rebalancing never happens behind a
+    running service's back.  ``max_bytes`` is the total on-disk budget
+    across science and job entries (scratch is exempt — in-flight
+    checkpoints must survive); ``None`` means unbounded.  Reads refresh
+    an entry's mtime, and a put that pushes the total over budget evicts
+    the least recently *used* entries — job payloads before science
+    results (jobs are cheap to lose: they re-derive from science),
+    oldest access first — until the cache fits.  The entry just written
+    is never evicted by its own put.
+    """
+
+    def __init__(self, root: Union[str, Path], shards: int = 16,
+                 max_bytes: Optional[int] = None):
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        if max_bytes is not None and max_bytes <= 0:
+            raise ValueError("max_bytes must be positive (or None)")
         self.root = Path(root)
+        self.shards = int(shards)
+        self.max_bytes = max_bytes
         self._stats_lock = threading.Lock()
+        self._evict_lock = threading.Lock()
         self._counters = {
             "hits": 0, "misses": 0, "evictions": 0, "corrupt_entries": 0,
         }
@@ -57,39 +70,44 @@ class ResultCache:
     # -- pickling (the process executor ships the cache to workers) ----
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
-        del state["_stats_lock"]
+        del state["_stats_lock"], state["_evict_lock"]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
         self._stats_lock = threading.Lock()
+        self._evict_lock = threading.Lock()
 
     # -- stats ---------------------------------------------------------
     def _bump(self, name: str, amount: int = 1) -> None:
         with self._stats_lock:
             self._counters[name] = self._counters.get(name, 0) + amount
 
+    def _entries(self, kind: str) -> Iterator[Tuple[Path, os.stat_result]]:
+        """``(path, stat)`` of every entry of one kind, in path order."""
+        base = self.root / kind
+        if base.is_dir():
+            for path in sorted(base.glob("*/*.pkl")):
+                try:
+                    yield path, path.stat()
+                except OSError:  # raced with an eviction
+                    continue
+
     def stats(self) -> Dict[str, Any]:
         """Counter totals plus on-disk occupancy, per kind and shard."""
         kinds: Dict[str, Any] = {}
         for kind in ("science", "jobs"):
             shards: Dict[str, Dict[str, int]] = {}
-            entries = nbytes = 0
-            base = self.root / kind
-            if base.is_dir():
-                for path in sorted(base.glob("*/*.pkl")):
-                    shard = shards.setdefault(
-                        path.parent.name, {"entries": 0, "bytes": 0}
-                    )
-                    size = path.stat().st_size
-                    shard["entries"] += 1
-                    shard["bytes"] += size
-                    entries += 1
-                    nbytes += size
+            for path, st in self._entries(kind):  # path order: sorted shards
+                shard = shards.setdefault(
+                    path.parent.name, {"entries": 0, "bytes": 0}
+                )
+                shard["entries"] += 1
+                shard["bytes"] += st.st_size
             kinds[kind] = {
-                "entries": entries,
-                "bytes": nbytes,
-                "shards": {k: shards[k] for k in sorted(shards)},
+                "entries": sum(s["entries"] for s in shards.values()),
+                "bytes": sum(s["bytes"] for s in shards.values()),
+                "shards": shards,
             }
         with self._stats_lock:
             counters = dict(self._counters)
@@ -102,11 +120,9 @@ class ResultCache:
         }
 
     # -- paths ---------------------------------------------------------
-    def _shard(self, key: str) -> str:
-        return key[:2]
-
     def _entry(self, kind: str, key: str) -> Path:
-        return self.root / kind / self._shard(key) / f"{key}.pkl"
+        shard = f"shard-{int(key[:8], 16) % self.shards:03d}"
+        return self.root / kind / shard / f"{key}.pkl"
 
     def science_path(self, science_key: str) -> Path:
         return self._entry("science", science_key)
@@ -128,7 +144,7 @@ class ResultCache:
             d.rmdir()
 
     # -- low-level pickle I/O ------------------------------------------
-    def _load(self, path: Path) -> Optional[Any]:
+    def _load(self, path: Path, drop: bool = True) -> Optional[Any]:
         if not path.is_file():
             return None
         try:
@@ -137,22 +153,23 @@ class ResultCache:
         except Exception:
             # A corrupt entry is a miss; drop it so it gets rebuilt.
             self._bump("corrupt_entries")
-            path.unlink(missing_ok=True)
+            if drop:
+                path.unlink(missing_ok=True)
             return None
 
     def _store(self, path: Path, obj: Any) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        with tmp.open("wb") as fh:
-            pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        self._after_store(path)
+        blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+        atomic_write(path, blob, fsync=False)
+        if self.max_bytes is not None:
+            self._evict(keep=path)
 
-    def _after_store(self, path: Path) -> None:
-        """Hook for subclasses (size accounting / eviction)."""
-
-    def _touch(self, path: Path) -> None:
-        """Hook for subclasses (LRU recency on reads)."""
+    def _mark_used(self, path: Path) -> None:
+        """A read refreshes the entry's LRU recency (its mtime)."""
+        try:
+            os.utime(path)
+        except OSError:  # raced with an eviction: recency is best-effort
+            pass
 
     # -- science results -----------------------------------------------
     def get_science(self, science_key: str) -> Optional[Any]:
@@ -161,7 +178,7 @@ class ResultCache:
             self._bump("misses")
         else:
             self._bump("hits")
-            self._touch(self.science_path(science_key))
+            self._mark_used(self.science_path(science_key))
         return result
 
     def put_science(self, science_key: str, result: Any) -> None:
@@ -186,8 +203,8 @@ class ResultCache:
             self.job_path(key).unlink(missing_ok=True)
             return None
         self._bump("hits")
-        self._touch(self.job_path(key))
-        self._touch(self.science_path(payload["science_key"]))
+        self._mark_used(self.job_path(key))
+        self._mark_used(self.science_path(payload["science_key"]))
         payload["result"] = science
         return payload
 
@@ -203,114 +220,40 @@ class ResultCache:
     def iter_jobs(self) -> Iterator[Dict[str, Any]]:
         """Yield every readable job payload (for ``campaign status``).
 
-        A status scan is read-only and best-effort: an entry that fails
-        to unpickle — or unpickles to something that is not a payload
-        dict — is *skipped* (and tallied in the ``corrupt_entries``
-        counter), never deleted, and never aborts the scan.
+        A status scan is read-only and best-effort: an entry that does
+        not unpickle to a payload dict is *skipped* and tallied in
+        ``corrupt_entries`` — never deleted, never aborting the scan.
         """
-        jobs = self.root / "jobs"
-        if not jobs.is_dir():
-            return
-        for path in sorted(jobs.glob("*/*.pkl")):
-            try:
-                with path.open("rb") as fh:
-                    payload = pickle.load(fh)
-            except Exception:
+        for path, _ in self._entries("jobs"):
+            payload = self._load(path, drop=False)
+            if isinstance(payload, dict):
+                yield payload
+            elif payload is not None:
                 self._bump("corrupt_entries")
-                continue
-            if not isinstance(payload, dict):
-                self._bump("corrupt_entries")
-                continue
-            yield payload
-
-
-class ShardedResultCache(ResultCache):
-    """A sharded, size-capped, LRU-evicting :class:`ResultCache`.
-
-    Parameters
-    ----------
-    root:
-        Cache directory.
-    shards:
-        Fixed shard count; an entry's shard is a stable function of its
-        content hash (``int(key[:8], 16) % shards``), so occupancy per
-        shard is inspectable and rebalancing never happens behind a
-        running service's back.
-    max_bytes:
-        Total on-disk budget across science and job entries (scratch is
-        exempt — in-flight checkpoints must survive).  ``None`` means
-        unbounded.  When a put pushes the total over budget, the least
-        recently *used* entries are evicted — job payloads before
-        science results (jobs are cheap to lose: they re-derive from
-        science), oldest access first — until the cache fits.  The
-        entry just written is never evicted by its own put.
-    """
-
-    def __init__(self, root: Union[str, Path], shards: int = 16,
-                 max_bytes: Optional[int] = None):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if max_bytes is not None and max_bytes <= 0:
-            raise ValueError("max_bytes must be positive (or None)")
-        super().__init__(root)
-        self.shards = int(shards)
-        self.max_bytes = max_bytes
-        self._evict_lock = threading.Lock()
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = super().__getstate__()
-        del state["_evict_lock"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        super().__setstate__(state)
-        self._evict_lock = threading.Lock()
-
-    # -- layout --------------------------------------------------------
-    def _shard(self, key: str) -> str:
-        return f"shard-{int(key[:8], 16) % self.shards:03d}"
-
-    # -- LRU recency ---------------------------------------------------
-    def _touch(self, path: Path) -> None:
-        try:
-            os.utime(path)
-        except OSError:  # raced with an eviction: recency is best-effort
-            pass
 
     # -- size-capped eviction ------------------------------------------
-    def _entries_by_recency(self) -> List[Tuple[int, Path]]:
-        """(size, path) for every entry — jobs before science, LRU-first
-        within each kind (ties broken by path for determinism)."""
-        ranked: List[Tuple[int, float, str, int, Path]] = []
-        for rank, kind in enumerate(("jobs", "science")):
-            base = self.root / kind
-            if not base.is_dir():
-                continue
-            for path in base.glob("*/*.pkl"):
-                try:
-                    st = path.stat()
-                except OSError:
-                    continue
-                ranked.append((rank, st.st_mtime, str(path), st.st_size, path))
-        ranked.sort(key=lambda t: t[:3])
-        return [(size, path) for _, _, _, size, path in ranked]
-
-    def _after_store(self, path: Path) -> None:
-        if self.max_bytes is None:
-            return
+    def _evict(self, keep: Path) -> None:
+        """Evict in the documented order (ties broken by path, for
+        determinism) until the cache fits; never ``keep``."""
         with self._evict_lock:
-            entries = self._entries_by_recency()
-            total = sum(size for size, _ in entries)
-            if total <= self.max_bytes:
-                return
-            for size, victim in entries:
-                if victim == path:
-                    continue  # never evict the entry just written
+            ranked = sorted(
+                (rank, st.st_mtime, str(path), st.st_size)
+                for rank, kind in enumerate(("jobs", "science"))
+                for path, st in self._entries(kind)
+            )
+            total = sum(size for _, _, _, size in ranked)
+            for _, _, victim, size in ranked:
+                if total <= self.max_bytes:
+                    break
+                if victim == str(keep):
+                    continue
                 try:
-                    victim.unlink()
+                    os.unlink(victim)
                 except OSError:
                     continue
                 self._bump("evictions")
                 total -= size
-                if total <= self.max_bytes:
-                    break
+
+
+#: The service-side name of the one cache class.
+ShardedResultCache = ResultCache

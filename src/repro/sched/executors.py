@@ -22,10 +22,10 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import replace
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.datasets.registry import get_dataset
+from repro.durable import atomic_write
 from repro.model.checkpoint import load_checkpoint, resume_config, save_checkpoint
 from repro.model.config import AirshedConfig
 from repro.model.dataparallel import replay_data_parallel
@@ -247,10 +247,8 @@ def _process_entry(
             "error_type": type(exc).__name__,
             "stats": stats,
         }
-    tmp = f"{out_path}.tmp"
-    with open(tmp, "wb") as fh:
-        pickle.dump(payload, fh, protocol=pickle.HIGHEST_PROTOCOL)
-    Path(tmp).replace(out_path)
+    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+    atomic_write(out_path, blob, fsync=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,9 +10,9 @@ those roles independently, so they are now explicit protocols:
   chains may execute concurrently.  Default implementations live in
   :mod:`repro.sched.executors` (``thread`` / ``process`` / ``inline``);
 * :class:`ResultStore` — the content-addressed result store.  The
-  default is :class:`~repro.sched.cache.ResultCache`; the service uses
-  the sharded, size-capped
-  :class:`~repro.sched.cache.ShardedResultCache`;
+  default, for the one-shot CLI and the service alike, is the sharded
+  :class:`~repro.sched.cache.ResultCache` (the service sets its size
+  cap);
 * :class:`Planner` — turns a bag of specs into a
   :class:`~repro.sched.planner.CampaignPlan`.  The default is
   :class:`~repro.sched.planner.LPTPlanner` (dedupe → science chaining →

@@ -10,7 +10,7 @@
   ``workers`` jobs — each wave's specs feed the existing
   :class:`~repro.sched.interfaces.Planner` and run on one
   :class:`~repro.sched.runner.CampaignRunner` over the shared
-  :class:`~repro.sched.cache.ShardedResultCache`, so planning is
+  :class:`~repro.sched.cache.ResultCache`, so planning is
   incremental (later submissions join the next wave) and overlapping
   submissions across tenants resolve from the content-addressed cache
   instead of re-executing;
@@ -53,7 +53,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.observe.tracer import Tracer
-from repro.sched.cache import ShardedResultCache
+from repro.sched.cache import ResultCache
 from repro.sched.interfaces import Executor, JobStore, ResultStore
 from repro.sched.job import JobResult, JobSpec
 from repro.sched.runner import CampaignRunner
@@ -86,7 +86,7 @@ class CampaignService:
         drains twice as fast under contention).
     cache_shards / cache_max_bytes:
         Layout and size cap of the default
-        :class:`~repro.sched.cache.ShardedResultCache`.
+        :class:`~repro.sched.cache.ResultCache`.
     chem_workers:
         Service-wide default ``cores_per_job``: submitted specs that
         did not ask for intra-job cores (``cores_per_job == 1``) run
@@ -133,7 +133,7 @@ class CampaignService:
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.cache: ResultStore = cache or ShardedResultCache(
+        self.cache: ResultStore = cache or ResultCache(
             self.root / "cache", shards=cache_shards,
             max_bytes=cache_max_bytes,
         )

@@ -1,21 +1,9 @@
-"""Crash-safe persistent campaign state for the service.
+"""Campaign state for the service, as a fold over the durable log.
 
-:class:`JournalJobStore` implements the
-:class:`~repro.sched.interfaces.JobStore` protocol as an event journal
-on disk::
-
-    <root>/journal.jsonl    one JSON event per line, append + fsync
-    <root>/snapshot.json    atomically-replaced fold of older events
-
-``append`` makes each event durable (flush + fsync) before returning,
-so after a crash the journal holds every acknowledged transition; at
-worst the *final* line is torn mid-write, and ``events`` tolerates
-exactly that (appends are sequential, so nothing before the last line
-can be torn — an unparseable interior line is real corruption and
-raises).  ``compact`` folds the event history into ``snapshot.json``
-via temp-file + ``os.replace`` and then truncates the journal, so the
-journal stays bounded and the snapshot swap can never leave a
-half-written state file.
+:class:`JournalJobStore` — the service's
+:class:`~repro.sched.interfaces.JobStore` — *is*
+:class:`repro.durable.AppendLog` (``journal.jsonl`` + ``snapshot.json``
+under the service root); the durability contract is stated there.
 
 :class:`ServiceState` is the pure fold of those events into
 :class:`CampaignRecord` objects — the daemon replays it on startup and
@@ -26,12 +14,10 @@ the full-job cache or genuinely never ran).
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List
 
+from repro.durable import AppendLog
 from repro.sched.job import JobSpec
 
 __all__ = ["CampaignRecord", "JournalJobStore", "ServiceState"]
@@ -87,62 +73,8 @@ class CampaignRecord:
         }
 
 
-class JournalJobStore:
-    """Append-only JSONL journal with atomic snapshot compaction."""
-
-    def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.journal_path = self.root / "journal.jsonl"
-        self.snapshot_path = self.root / "snapshot.json"
-
-    # -- the JobStore protocol -----------------------------------------
-    def append(self, event: Dict[str, Any]) -> None:
-        """Durably append one event (flush + fsync before returning)."""
-        line = json.dumps(event, sort_keys=True)
-        with self.journal_path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
-    def snapshot(self) -> Optional[Dict[str, Any]]:
-        if not self.snapshot_path.is_file():
-            return None
-        return json.loads(self.snapshot_path.read_text(encoding="utf-8"))
-
-    def events(self) -> Iterator[Dict[str, Any]]:
-        """Every durable event: snapshot fold first, then the journal.
-
-        A torn *final* journal line (a crash mid-append) is skipped;
-        an unparseable interior line means real corruption and raises.
-        """
-        snap = self.snapshot()
-        if snap is not None:
-            yield from snap.get("events", [])
-        if not self.journal_path.is_file():
-            return
-        raw = self.journal_path.read_text(encoding="utf-8")
-        lines = raw.splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1 and not raw.endswith("\n"):
-                    return  # torn final append; everything before is durable
-                raise ValueError(
-                    f"corrupt journal line {i + 1} in {self.journal_path}"
-                )
-
-    def compact(self, state: Dict[str, Any]) -> None:
-        """Atomically fold history into the snapshot, truncate journal."""
-        tmp = self.snapshot_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(state, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self.snapshot_path)
-        with self.journal_path.open("w", encoding="utf-8") as fh:
-            fh.flush()
-            os.fsync(fh.fileno())
+#: The durable log itself, under its service-side name.
+JournalJobStore = AppendLog
 
 
 class ServiceState:

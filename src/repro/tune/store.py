@@ -4,12 +4,10 @@ One :class:`Observation` is a single per-phase measurement keyed by
 *phase key* — ``dataset × machine × P × variant × chem_workers ×
 phase`` — harvested from :mod:`repro.observe` span traces, campaign
 reports, or simulated-replay timelines.  The :class:`CalibrationStore`
-persists observations (and the autotuner's decision records) exactly
-the way :class:`~repro.service.jobstore.JournalJobStore` persists
-service events::
-
-    <root>/journal.jsonl    one JSON event per line, append + fsync
-    <root>/snapshot.json    atomically-replaced fold of older events
+persists observations (and the autotuner's decision records) as events
+in a :class:`repro.durable.AppendLog` — the same ``journal.jsonl`` +
+``snapshot.json`` pair, under the same durability contract, as the
+service's job journal.
 
 Every observation is **content addressed**: its digest covers the
 measurement payload but *not* the frozen provenance timestamp, so
@@ -25,10 +23,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
+
+from repro.durable import AppendLog, corrupt
 
 __all__ = [
     "Observation",
@@ -139,32 +138,22 @@ class ScanResult:
 
 
 class CalibrationStore:
-    """Append-only observation/decision journal with snapshot compaction.
+    """Observations and decisions as a fold over one durable log.
 
-    The on-disk idioms match
-    :class:`~repro.service.jobstore.JournalJobStore`: ``add`` fsyncs
-    each JSONL line before returning; loading folds ``snapshot.json``
-    first and tolerates exactly one torn *final* journal line (a crash
-    mid-append) while an unparseable interior line raises;
-    :meth:`compact` swaps the snapshot via temp-file + ``os.replace``
-    and truncates the journal.
+    ``add`` / ``record_decision`` return only once the event is fsynced;
+    the strict loaders raise on any corruption, :meth:`scan` reports it
+    and keeps every good record (see :mod:`repro.durable` for the
+    torn-tail and compaction rules).
     """
 
     def __init__(self, root: Union[str, Path]):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.journal_path = self.root / "journal.jsonl"
-        self.snapshot_path = self.root / "snapshot.json"
+        self._log = AppendLog(root)
+        self.root = self._log.root
+        self.journal_path = self._log.journal_path
+        self.snapshot_path = self._log.snapshot_path
         self._digest_cache: Optional[set] = None
 
     # -- writing -------------------------------------------------------
-    def _append_event(self, event: Dict[str, Any]) -> None:
-        line = json.dumps(event, sort_keys=True)
-        with self.journal_path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-
     def add(self, obs: Observation) -> bool:
         """Durably append one observation; ``False`` if already stored.
 
@@ -174,7 +163,7 @@ class CalibrationStore:
         digests = self._digests()
         if obs.digest in digests:
             return False
-        self._append_event({
+        self._log.append({
             "type": "obs", "digest": obs.digest, "obs": obs.to_dict(),
         })
         digests.add(obs.digest)
@@ -186,42 +175,9 @@ class CalibrationStore:
 
     def record_decision(self, record: Dict[str, Any]) -> None:
         """Journal one autotuner decision record (never deduped)."""
-        self._append_event({"type": "decision", "record": record})
+        self._log.append({"type": "decision", "record": record})
 
     # -- reading -------------------------------------------------------
-    def _events(self, errors: Optional[List[str]] = None):
-        """Yield events; strict unless an ``errors`` sink is given."""
-        snap = None
-        if self.snapshot_path.is_file():
-            try:
-                snap = json.loads(
-                    self.snapshot_path.read_text(encoding="utf-8")
-                )
-            except json.JSONDecodeError as exc:
-                if errors is None:
-                    raise ValueError(
-                        f"corrupt snapshot {self.snapshot_path}: {exc}"
-                    )
-                errors.append(f"corrupt snapshot: {exc}")
-        if snap is not None:
-            yield from snap.get("events", [])
-        if not self.journal_path.is_file():
-            return
-        raw = self.journal_path.read_text(encoding="utf-8")
-        lines = raw.splitlines()
-        for i, line in enumerate(lines):
-            if not line.strip():
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError:
-                if i == len(lines) - 1 and not raw.endswith("\n"):
-                    return  # torn final append; all earlier lines durable
-                msg = f"corrupt journal line {i + 1} in {self.journal_path}"
-                if errors is None:
-                    raise ValueError(msg)
-                errors.append(msg)
-
     def scan(self) -> ScanResult:
         """Tolerant load: observations, decisions and integrity errors.
 
@@ -231,7 +187,7 @@ class CalibrationStore:
         """
         errors: List[str] = []
         observations, decisions = self._fold(
-            self._events(errors=errors), errors=errors
+            self._log.events(errors), errors=errors
         )
         return ScanResult(observations, decisions, errors)
 
@@ -249,20 +205,12 @@ class CalibrationStore:
             try:
                 obs = Observation.from_dict(event.get("obs", {}))
             except (TypeError, ValueError) as exc:
-                msg = f"malformed observation record: {exc}"
-                if errors is None:
-                    raise ValueError(msg)
-                errors.append(msg)
+                corrupt(f"malformed observation record: {exc}", errors)
                 continue
             stored = event.get("digest")
             if stored is not None and stored != obs.digest:
-                msg = (
-                    f"digest mismatch for {obs.phase_key}: "
-                    f"stored {stored[:12]}, payload {obs.digest[:12]}"
-                )
-                if errors is None:
-                    raise ValueError(msg)
-                errors.append(msg)
+                corrupt(f"digest mismatch for {obs.phase_key}: stored "
+                        f"{stored[:12]}, payload {obs.digest[:12]}", errors)
                 continue
             if obs.digest in seen:
                 continue
@@ -272,12 +220,12 @@ class CalibrationStore:
 
     def observations(self) -> List[Observation]:
         """Every distinct stored observation (strict: corruption raises)."""
-        observations, _ = self._fold(self._events())
+        observations, _ = self._fold(self._log.events())
         return observations
 
     def decisions(self) -> List[Dict[str, Any]]:
         """Journaled autotuner decision records, oldest first."""
-        _, decisions = self._fold(self._events())
+        _, decisions = self._fold(self._log.events())
         return decisions
 
     def _digests(self) -> set:
@@ -318,15 +266,9 @@ class CalibrationStore:
     # -- compaction ----------------------------------------------------
     def compact(self) -> None:
         """Fold the journal into the snapshot (bounded on-disk state)."""
-        observations, decisions = self._fold(self._events())
+        observations, decisions = self._fold(self._log.events())
         events = [
             {"type": "obs", "digest": obs.digest, "obs": obs.to_dict()}
             for obs in observations
         ] + [{"type": "decision", "record": rec} for rec in decisions]
-        tmp = self.snapshot_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps({"events": events}, sort_keys=True),
-                       encoding="utf-8")
-        os.replace(tmp, self.snapshot_path)
-        with self.journal_path.open("w", encoding="utf-8") as fh:
-            fh.flush()
-            os.fsync(fh.fileno())
+        self._log.compact({"events": events})

@@ -9,7 +9,17 @@ from repro.sched import JobSpec, ResultCache
 
 @pytest.fixture
 def cache(tmp_path):
-    return ResultCache(tmp_path / "cache")
+    return ResultCache(tmp_path / "cache")  # 16 shards, as the daemon runs
+
+
+class _OneShard:
+    """Re-run a test class against a one-shard cache (a single fan-out
+    directory per kind).  A mixin rather than ``params=`` on the fixture
+    so the 16-shard tests keep the ids they have always had."""
+
+    @pytest.fixture
+    def cache(self, tmp_path):
+        return ResultCache(tmp_path / "cache", shards=1)
 
 
 def _payload(spec, **extra):
@@ -113,9 +123,10 @@ class TestStatsAndCounters:
         assert stats["total_bytes"] > 0
         assert stats["kinds"]["science"]["entries"] == 1
         assert stats["kinds"]["jobs"]["entries"] == 1
-        # plain cache shards are the key[:2] fan-out directories
-        assert spec.science_key[:2] in stats["kinds"]["science"]["shards"]
-        assert spec.key[:2] in stats["kinds"]["jobs"]["shards"]
+        # shards are the fixed shard-NNN fan-out directories
+        for kind, key in (("science", spec.science_key), ("jobs", spec.key)):
+            shard = f"shard-{int(key[:8], 16) % cache.shards:03d}"
+            assert list(stats["kinds"][kind]["shards"]) == [shard]
 
     def test_pickled_cache_keeps_root_and_fresh_lock(self, cache):
         clone = pickle.loads(pickle.dumps(cache))
@@ -148,7 +159,43 @@ class TestIterJobsTolerance:
         assert cache.stats()["counters"]["corrupt_entries"] == 1
 
 
+class TestScienceOneShard(_OneShard, TestScience):
+    pass
+
+
+class TestJobsOneShard(_OneShard, TestJobs):
+    pass
+
+
+class TestStatsAndCountersOneShard(_OneShard, TestStatsAndCounters):
+    pass
+
+
+class TestIterJobsToleranceOneShard(_OneShard, TestIterJobsTolerance):
+    pass
+
+
 class TestShardedCache:
+    def test_both_names_construct_the_one_class(self, tmp_path):
+        from repro.sched import ShardedResultCache
+
+        assert ShardedResultCache is ResultCache
+        assert ResultCache(tmp_path / "a").shards == 16
+        capped = ShardedResultCache(tmp_path / "b", shards=4, max_bytes=10)
+        assert (capped.shards, capped.max_bytes) == (4, 10)
+
+    def test_old_prefix_layout_reads_cold_never_wrong(self, tmp_path):
+        # a cache directory written with the retired <k[:2]> fan-out
+        spec = JobSpec(dataset="demo", hours=1)
+        old = tmp_path / "c" / "science" / spec.science_key[:2]
+        old.mkdir(parents=True)
+        with (old / f"{spec.science_key}.pkl").open("wb") as fh:
+            pickle.dump({"stale": True}, fh)
+        cache = ResultCache(tmp_path / "c")
+        assert cache.get_science(spec.science_key) is None
+        cache.put_science(spec.science_key, {"x": 1})
+        assert cache.get_science(spec.science_key) == {"x": 1}
+
     def test_fixed_shard_layout(self, tmp_path):
         from repro.sched import ShardedResultCache
 
@@ -213,7 +260,7 @@ class TestShardedCache:
             for s in (a, b)
         ]
         cache.max_bytes = sum(sizes) - 1
-        cache._after_store(cache.science_path(a.science_key))
+        cache._evict(keep=cache.science_path(a.science_key))
         assert cache.science_path(a.science_key).is_file()
         assert not cache.science_path(b.science_key).is_file()
 

@@ -150,6 +150,15 @@ class TestCrashRecovery:
         shas = {r["sha256"] for r in rows}
         assert len(shas) == 1  # bitwise-identical science across the crash
 
+        # second restart: svc2's acknowledged events were written after
+        # the fragment was dropped, not glued onto it, so the journal
+        # still loads strict and every one of them is there
+        svc3 = make_service(root, workers=2)
+        assert svc3.status(cid)["status"] == "done"
+        assert svc3.results(cid) == rows
+        assert svc3.run_until_idle() == 0
+        assert svc3.stats()["counters"].get("campaign:sim_hours", 0) == 0
+
     def test_compacted_state_resumes_identically(self, tmp_path):
         root = tmp_path / "svc"
         svc = make_service(root)

@@ -1,4 +1,8 @@
-"""CalibrationStore: content addressing, durability, integrity."""
+"""CalibrationStore: content addressing, durability, integrity.
+
+Torn tails and crash recovery are the log's own behaviour:
+``tests/test_durable.py`` drills them against this store too.
+"""
 
 import json
 
@@ -86,16 +90,6 @@ class TestStore:
             {"key": "k1", "generation": 0},
         ]
 
-    def test_torn_final_journal_line_is_tolerated(self, tmp_path):
-        store = CalibrationStore(tmp_path / "s")
-        store.add(obs(observed_s=1.0))
-        store.add(obs(observed_s=2.0))
-        with store.journal_path.open("a") as fh:
-            fh.write('{"type": "obs", "dig')  # crash mid-append
-        fresh = CalibrationStore(tmp_path / "s")
-        assert len(fresh.observations()) == 2  # strict loader is fine
-        assert fresh.scan().errors == []
-
     def test_interior_corruption_raises_strict_reports_tolerant(
         self, tmp_path
     ):
@@ -150,6 +144,37 @@ class TestStore:
         # and new appends land after it
         assert fresh.add(obs(observed_s=3.0))
         assert fresh.generation == 3
+
+    def test_pair_written_before_sequence_numbers_loads_unchanged(
+        self, tmp_path
+    ):
+        # journal.jsonl + snapshot.json exactly as the pre-AppendLog
+        # CalibrationStore wrote them: bare event objects, no "seq"
+        def event(o):
+            return {"type": "obs", "digest": o.digest, "obs": o.to_dict()}
+
+        a, b = obs(observed_s=1.0), obs(observed_s=2.0)
+        d1, d2 = {"key": "k", "generation": 1}, {"key": "k", "generation": 2}
+        root = tmp_path / "s"
+        root.mkdir()
+        (root / "snapshot.json").write_text(json.dumps({"events": [
+            event(a), {"type": "decision", "record": d1},
+        ]}, sort_keys=True))
+        (root / "journal.jsonl").write_text("".join(
+            json.dumps(e, sort_keys=True) + "\n"
+            for e in (event(b), {"type": "decision", "record": d2})))
+        store = CalibrationStore(root)
+        assert store.scan().errors == []
+        reference = CalibrationStore(tmp_path / "ref")
+        reference.add_many([a, b])
+        assert (store.generation, store.fingerprint, store.decisions()) == (
+            2, reference.fingerprint, [d1, d2])
+        # and it keeps taking appends, old lines and new side by side
+        assert not store.add(b)
+        assert store.add(obs(observed_s=3.0))
+        store.compact()
+        fresh = CalibrationStore(root)
+        assert (fresh.generation, fresh.decisions()) == (3, [d1, d2])
 
     def test_stats_tolerates_corruption(self, tmp_path):
         store = CalibrationStore(tmp_path / "s")
