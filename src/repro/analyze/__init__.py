@@ -77,12 +77,13 @@ from repro.analyze.programs import (
 )
 from repro.analyze.races import check_races
 
-# The campaign verifier imports repro.sched, the tune lint imports
-# repro.tune, and both of those packages import repro.analyze.programs
-# via repro.sched.costmodel — importing either eagerly here would make
-# `import repro.sched` fail mid-initialization.  PEP 562 lazy exports
-# break the cycle: the first attribute access imports the owning
-# module, by which point every package is fully initialized.
+# The campaign verifier imports repro.sched and the tune lint imports
+# repro.tune, while repro.sched.job imports repro.analyze.sanitize the
+# first time it hashes a spec in sanitizer mode — which can be while
+# repro.sched is still initializing.  PEP 562 lazy exports keep that
+# from becoming a cycle (and keep `import repro.analyze` from loading
+# the scheduler): the first attribute access imports the owning module,
+# by which point every package is fully initialized.
 _LAZY_EXPORTS = {
     "verify_campaign": "repro.analyze.campaign",
     "verify_chain_ordering": "repro.analyze.campaign",

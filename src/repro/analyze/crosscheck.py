@@ -30,9 +30,8 @@ import numpy as np
 from repro.analyze.diagnostics import Diagnostic
 from repro.analyze.program import FxProgram
 from repro.analyze.programs import build_dataparallel
-from repro.model.dataparallel import replay_data_parallel
 from repro.model.results import HourTrace, StepTrace, WorkloadTrace
-from repro.model.taskparallel import replay_task_parallel
+from repro.model.taskparallel import replay
 from repro.observe.tracer import Span, Tracer
 
 __all__ = [
@@ -42,6 +41,15 @@ __all__ = [
     "run_crosscheck",
     "paper_configuration",
 ]
+
+
+#: The replay variant (:func:`repro.model.taskparallel.replay`) that
+#: executes each shipped driver — what FX030 runs to check its plan.
+DRIVER_VARIANTS = {
+    "sequential": "sequential",
+    "dataparallel": "data",
+    "taskparallel": "task",
+}
 
 
 def paper_configuration() -> FxProgram:
@@ -158,6 +166,11 @@ def run_crosscheck(program: FxProgram) -> Tuple[List[Diagnostic], Dict[str, Any]
     """
     meta = program.meta
     driver = meta.get("driver")
+    if driver not in DRIVER_VARIANTS:
+        raise KeyError(
+            f"program {program.name!r} has no replayable driver "
+            f"(meta.driver = {driver!r})"
+        )
     shape = meta.get("shape") or [a.shape for a in program.arrays][0]
     hours = int(meta.get("hours", 1))
     steps = int(meta.get("steps_per_hour", 1))
@@ -166,18 +179,6 @@ def run_crosscheck(program: FxProgram) -> Tuple[List[Diagnostic], Dict[str, Any]
         input_bytes=int(meta.get("input_bytes", 1 << 20)),
     )
     tracer = Tracer()
-    if driver == "dataparallel":
-        replay_data_parallel(trace, program.machine, program.nprocs,
-                             tracer=tracer)
-    elif driver == "taskparallel":
-        replay_task_parallel(trace, program.machine, program.nprocs,
-                             io_nodes=int(meta.get("io_nodes", 1)),
-                             tracer=tracer)
-    elif driver == "sequential":
-        pass  # nothing executes in parallel; the empty plan must match
-    else:
-        raise KeyError(
-            f"program {program.name!r} has no replayable driver "
-            f"(meta.driver = {driver!r})"
-        )
+    replay(DRIVER_VARIANTS[driver], trace, program.machine, program.nprocs,
+           io_nodes=int(meta.get("io_nodes", 1)), tracer=tracer)
     return crosscheck_spans(program, tracer.spans)

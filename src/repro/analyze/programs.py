@@ -1,9 +1,9 @@
 """The shipped model drivers as analyzable programs.
 
 Each registered builder produces the :class:`~repro.analyze.program.FxProgram`
-description of one model driver — the same phase structure the driver
-executes, written down statically so the analyzer can check it without
-running anything:
+description of one mapping of the Airshed program — the same phase
+structure the driver executes, written down statically so the analyzer
+can check it without running anything:
 
 * ``sequential`` — one node, I/O and compute only (no directives);
 * ``dataparallel`` — the Section 2.2 main loop: per step
@@ -14,10 +14,11 @@ running anything:
   :data:`repro.model.taskparallel.STAGE_IO` and explicit inter-stage
   handoffs.
 
-The phase read/write declarations mirror
-:func:`repro.model.dataparallel.declare_airshed_phases` — the drivers
-register the same sets on their :class:`~repro.fx.runtime.FxRuntime`,
-and a test asserts the two stay in sync.
+All three are generated from the tables the drivers themselves execute
+(:mod:`repro.model.mainloop`: the step schedule, the stages' I/O phases,
+``PHASE_IO`` and ``STAGE_IO``), so a change to the model's program is a
+change to the analyzer's; FX030 then checks the generated plan against
+the executed trace.
 
 Test fixtures (and future drivers) can add themselves with
 :func:`register_program`; ``repro lint --driver <name>`` resolves
@@ -26,16 +27,25 @@ against this registry.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analyze.program import ArrayDecl, FxProgram, PhaseDecl, TaskDecl
+from repro.datasets.registry import DATASET_SHAPES
 from repro.fx.runtime import dist_label
-from repro.model.dataparallel import D_CHEM, D_REPL, D_TRANS
-from repro.model.taskparallel import STAGE_IO
-from repro.vm.machine import MachineSpec, get_machine
+from repro.model.mainloop import (
+    D_REPL,
+    INPUT_IO,
+    OUTPUT_IO,
+    PHASE_IO,
+    STAGE_IO,
+    STEP_SCHEDULE,
+)
+from repro.vm.machine import get_machine
 
 __all__ = [
     "DATASET_SHAPES",
+    "PHASE_IO",
     "available_programs",
     "register_program",
     "build_program",
@@ -44,152 +54,60 @@ __all__ = [
     "build_taskparallel",
 ]
 
-#: ``A(species, layers, points)`` shapes of the shipped datasets
-#: (``repro.datasets``); kept static so building a program never pays
-#: for dataset materialisation.  A test pins these to the real shapes.
-DATASET_SHAPES: Dict[str, Tuple[int, int, int]] = {
-    "la": (35, 5, 700),
-    "ne": (35, 5, 3328),
-    "demo": (35, 4, 150),
-}
-
-#: The phase-level read/write declarations of the Airshed main loop,
-#: mirroring ``declare_airshed_phases``.
-PHASE_IO: Dict[str, Dict[str, frozenset]] = {
-    "io:inputhour": dict(reads=frozenset({"hourly_inputs"}),
-                         writes=frozenset({"conditions", "operators"})),
-    "io:pretrans": dict(reads=frozenset({"conditions"}),
-                        writes=frozenset({"operators"})),
-    "transport": dict(reads=frozenset({"conc", "operators", "conditions"}),
-                      writes=frozenset({"conc"})),
-    "chemistry": dict(reads=frozenset({"conc", "conditions"}),
-                      writes=frozenset({"conc"})),
-    "aerosol": dict(reads=frozenset({"conc"}), writes=frozenset({"conc"})),
-    "io:outputhour": dict(reads=frozenset({"conc"}),
-                          writes=frozenset({"output_files"})),
-}
+def _io(name: str, task: Optional[str]) -> PhaseDecl:
+    return PhaseDecl(op="io", name=name, task=task, **PHASE_IO[name])
 
 
-def _resolve(
-    dataset: str,
-    machine,
-    shape: Optional[Tuple[int, int, int]],
-) -> Tuple[Tuple[int, int, int], MachineSpec]:
-    if shape is None:
-        if dataset not in DATASET_SHAPES:
-            raise KeyError(
-                f"unknown dataset {dataset!r}; choose from "
-                f"{sorted(DATASET_SHAPES)} or pass an explicit shape"
-            )
-        shape = DATASET_SHAPES[dataset]
-    if isinstance(machine, str):
-        machine = get_machine(machine)
-    return tuple(shape), machine
+def _phases(
+    hours: int,
+    steps_per_hour: int,
+    distributed: bool,
+    handoffs: Optional[Tuple[int, int]],
+) -> List[PhaseDecl]:
+    """The model's phase sequence under one mapping.
 
-
-def _redistribute(array: str, target, task: Optional[str] = None) -> PhaseDecl:
-    return PhaseDecl(
-        op="redistribute",
-        name=f"->{dist_label(target)}",
-        array=array,
-        target=target,
-        task=task,
-    )
-
-
-def _compute(name: str, array: Optional[str], layout,
-             task: Optional[str] = None) -> PhaseDecl:
-    io = PHASE_IO.get(name, {})
-    return PhaseDecl(op="compute", name=name, array=array, layout=layout,
-                     task=task, **io)
-
-
-def _io(name: str, task: Optional[str] = None) -> PhaseDecl:
-    io = PHASE_IO.get(name, {})
-    return PhaseDecl(op="io", name=name, task=task, **io)
-
-
-def _main_step(task: Optional[str] = None) -> List[PhaseDecl]:
-    """One main-loop step: the paper's redistribution cycle."""
-    return [
-        _redistribute("conc", D_TRANS, task),
-        _compute("transport", "conc", D_TRANS, task),
-        _redistribute("conc", D_CHEM, task),
-        _compute("chemistry", "conc", D_CHEM, task),
-        _redistribute("conc", D_REPL, task),
-        _compute("aerosol", "conc", D_REPL, task),
-        _redistribute("conc", D_TRANS, task),
-        _compute("transport", "conc", D_TRANS, task),
-    ]
-
-
-def build_sequential(
-    dataset: str = "la",
-    machine="t3e",
-    nprocs: int = 1,
-    hours: int = 4,
-    steps_per_hour: int = 6,
-    shape: Optional[Tuple[int, int, int]] = None,
-    **_ignored,
-) -> FxProgram:
-    """The sequential reference: one node, no directives, no comm."""
-    shape, machine = _resolve(dataset, machine, shape)
-    phases: List[PhaseDecl] = []
-    for _ in range(hours):
-        phases.append(_io("io:inputhour"))
-        phases.append(_io("io:pretrans"))
-        for _ in range(steps_per_hour):
-            phases.append(_compute("transport", "conc", None))
-            phases.append(_compute("chemistry", "conc", None))
-            phases.append(_compute("aerosol", "conc", None))
-            phases.append(_compute("transport", "conc", None))
-        phases.append(_io("io:outputhour"))
-    return FxProgram(
-        name=f"sequential[{dataset}]",
-        machine=machine,
-        nprocs=1,
-        arrays=[ArrayDecl("conc", shape, itemsize=machine.wordsize)],
-        phases=phases,
-        meta={"driver": "sequential", "dataset": dataset, "hours": hours,
-              "steps_per_hour": steps_per_hour, "shape": list(shape)},
-    )
-
-
-def build_dataparallel(
-    dataset: str = "la",
-    machine="t3e",
-    nprocs: int = 64,
-    hours: int = 4,
-    steps_per_hour: int = 6,
-    shape: Optional[Tuple[int, int, int]] = None,
-    **_ignored,
-) -> FxProgram:
-    """The Section 2.2 data-parallel main loop."""
-    shape, machine = _resolve(dataset, machine, shape)
-    phases: List[PhaseDecl] = []
-    for _ in range(hours):
-        phases.append(_io("io:inputhour"))
-        phases.append(_io("io:pretrans"))
-        for _ in range(steps_per_hour):
-            phases.extend(_main_step())
-        phases.append(PhaseDecl(
+    ``distributed=False`` is the sequential run (no directives).
+    ``handoffs=None`` keeps the stages on one group, where a gather
+    precedes ``outputhour``; ``(input_bytes, array_bytes)`` places them
+    on the three task regions with those inter-stage transfers.
+    """
+    staged = handoffs is not None
+    in_task, main_task, out_task = tuple(STAGE_IO) if staged else (None,) * 3
+    hour = [_io(name, in_task) for name, _, _ in INPUT_IO]
+    if staged:
+        hour.append(PhaseDecl(
+            op="handoff", name=f"pipe:{in_task}->{main_task}", task=in_task,
+            nbytes=handoffs[0],
+        ))
+    step: List[PhaseDecl] = []
+    for dist, phase, _ in STEP_SCHEDULE:
+        if distributed:
+            step.append(PhaseDecl(
+                op="redistribute", name=f"->{dist_label(dist)}", array="conc",
+                target=dist, task=main_task,
+            ))
+        step.append(PhaseDecl(
+            op="compute", name=phase, array="conc",
+            layout=dist if distributed else None, task=main_task,
+            **PHASE_IO[phase],
+        ))
+    hour += step * steps_per_hour
+    if staged:
+        hour.append(PhaseDecl(
+            op="handoff", name=f"pipe:{main_task}->{out_task}",
+            task=main_task, nbytes=handoffs[1], reads=frozenset({"conc"}),
+        ))
+    elif distributed:
+        hour.append(PhaseDecl(
             op="gather", name="gather:outputhour", array="conc",
             reads=frozenset({"conc"}),
         ))
-        phases.append(_io("io:outputhour"))
-    return FxProgram(
-        name=f"dataparallel[{dataset}]",
-        machine=machine,
-        nprocs=nprocs,
-        arrays=[ArrayDecl("conc", shape, itemsize=machine.wordsize,
-                          initial=D_REPL)],
-        phases=phases,
-        meta={"driver": "dataparallel", "dataset": dataset, "hours": hours,
-              "steps_per_hour": steps_per_hour, "shape": list(shape)},
-    )
+    hour += [_io(name, out_task) for name, _, _ in OUTPUT_IO]
+    return hour * hours
 
 
-def build_taskparallel(
+def _build(
+    driver: str,
     dataset: str = "la",
     machine="t3e",
     nprocs: int = 64,
@@ -200,49 +118,58 @@ def build_taskparallel(
     shape: Optional[Tuple[int, int, int]] = None,
     **_ignored,
 ) -> FxProgram:
-    """The Section 5 pipelined driver: input / main / output regions.
+    """The Airshed program under the mapping ``driver`` names.
 
+    ``io_nodes`` and ``input_bytes`` matter to ``taskparallel`` only:
     ``input_bytes`` sizes the per-hour input-stage handoff (the real
     driver forwards the parsed hourly record; any positive size yields
-    the same step sequence).  The main -> output handoff carries the
-    whole concentration array.
+    the same step sequence), and the main -> output handoff carries the
+    whole concentration array.  ``sequential`` always runs on one node.
     """
-    shape, machine = _resolve(dataset, machine, shape)
-    main_nodes = nprocs - 2 * io_nodes
-    array_bytes = shape[0] * shape[1] * shape[2] * machine.wordsize
-    tasks = [
-        TaskDecl("input", io_nodes, **STAGE_IO["input"]),
-        TaskDecl("main", main_nodes, **STAGE_IO["main"]),
-        TaskDecl("output", io_nodes, **STAGE_IO["output"]),
-    ]
-    phases: List[PhaseDecl] = []
-    for _ in range(hours):
-        phases.append(_io("io:inputhour", task="input"))
-        phases.append(_io("io:pretrans", task="input"))
-        phases.append(PhaseDecl(
-            op="handoff", name="pipe:input->main", task="input",
-            nbytes=int(input_bytes),
-        ))
-        for _ in range(steps_per_hour):
-            phases.extend(_main_step(task="main"))
-        phases.append(PhaseDecl(
-            op="handoff", name="pipe:main->output", task="main",
-            nbytes=array_bytes, reads=frozenset({"conc"}),
-        ))
-        phases.append(_io("io:outputhour", task="output"))
+    if shape is None:
+        if dataset not in DATASET_SHAPES:
+            raise KeyError(
+                f"unknown dataset {dataset!r}; choose from "
+                f"{sorted(DATASET_SHAPES)} or pass an explicit shape"
+            )
+        shape = DATASET_SHAPES[dataset]
+    shape = tuple(shape)
+    if isinstance(machine, str):
+        machine = get_machine(machine)
+    distributed = driver != "sequential"
+    meta = {"driver": driver, "dataset": dataset, "hours": hours,
+            "steps_per_hour": steps_per_hour}
+    tasks: List[TaskDecl] = []
+    handoffs = None
+    if driver == "taskparallel":
+        # Sized like repro.model.mainloop.task_mapping, unchecked: an
+        # impossible split is the directive checker's to report.
+        sizes = (io_nodes, nprocs - 2 * io_nodes, io_nodes)
+        tasks = [TaskDecl(name, size, **STAGE_IO[name])
+                 for name, size in zip(STAGE_IO, sizes)]
+        handoffs = (int(input_bytes),
+                    shape[0] * shape[1] * shape[2] * machine.wordsize)
+        meta.update(io_nodes=io_nodes, input_bytes=int(input_bytes))
+    meta["shape"] = list(shape)
     return FxProgram(
-        name=f"taskparallel[{dataset}]",
+        name=f"{driver}[{dataset}]",
         machine=machine,
-        nprocs=nprocs,
+        nprocs=nprocs if distributed else 1,
         arrays=[ArrayDecl("conc", shape, itemsize=machine.wordsize,
-                          initial=D_REPL, group="main")],
+                          initial=D_REPL if distributed else None,
+                          group="main" if tasks else None)],
         tasks=tasks,
-        phases=phases,
-        meta={"driver": "taskparallel", "dataset": dataset, "hours": hours,
-              "steps_per_hour": steps_per_hour, "io_nodes": io_nodes,
-              "input_bytes": int(input_bytes), "shape": list(shape)},
+        phases=_phases(hours, steps_per_hour, distributed, handoffs),
+        meta=meta,
     )
 
+
+#: The sequential reference: one node, no directives, no comm.
+build_sequential = partial(_build, "sequential")
+#: The Section 2.2 data-parallel main loop.
+build_dataparallel = partial(_build, "dataparallel")
+#: The Section 5 pipelined driver: input / main / output regions.
+build_taskparallel = partial(_build, "taskparallel")
 
 #: Registered program builders, keyed by driver name.
 _REGISTRY: Dict[str, Callable[..., FxProgram]] = {

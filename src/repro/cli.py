@@ -73,8 +73,8 @@ from repro.model import (
     AirshedConfig,
     SequentialAirshed,
     WorkloadTrace,
+    replay,
     replay_data_parallel,
-    replay_task_parallel,
 )
 from repro.model.taskparallel import replay_best_configuration
 from repro.observe import (
@@ -134,18 +134,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replay_mode(args: argparse.Namespace, trace: WorkloadTrace, machine,
+                 tracer: Optional[Tracer] = None):
+    """``(label, timing)`` of the replay ``--mode data|task`` selects."""
+    try:
+        timing = replay(args.mode, trace, machine, args.nodes,
+                        io_nodes=args.io_nodes, tracer=tracer)
+    except ValueError as exc:  # an impossible --nodes/--io-nodes mapping
+        raise SystemExit(str(exc))
+    if args.mode == "task":
+        return f"task-parallel (io_nodes={args.io_nodes})", timing
+    return "data-parallel", timing
+
+
 def cmd_replay(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     machine = get_machine(args.machine)
-    if args.mode == "data":
-        timing = replay_data_parallel(trace, machine, args.nodes)
-        mode = "data-parallel"
-    elif args.mode == "task":
-        timing = replay_task_parallel(trace, machine, args.nodes,
-                                      io_nodes=args.io_nodes)
-        mode = f"task-parallel (io_nodes={args.io_nodes})"
-    else:  # best
+    if args.mode == "best":
         mode, timing = replay_best_configuration(trace, machine, args.nodes)
+    else:
+        mode, timing = _replay_mode(args, trace, machine)
     print(f"configuration: {mode}")
     print(timing_report(timing))
     return 0
@@ -197,14 +205,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         trace = SequentialAirshed(config).run().trace
 
     tracer = Tracer()
-    if args.mode == "task":
-        timing = replay_task_parallel(
-            trace, machine, args.nodes, io_nodes=args.io_nodes, tracer=tracer
-        )
-        mode = f"task-parallel (io_nodes={args.io_nodes})"
-    else:
-        timing = replay_data_parallel(trace, machine, args.nodes, tracer=tracer)
-        mode = "data-parallel"
+    mode, timing = _replay_mode(args, trace, machine, tracer=tracer)
 
     out = write_chrome_trace(tracer, args.out)
     print(f"{mode} on {timing.machine}, {args.nodes} nodes: "
@@ -350,7 +351,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _campaign_specs(args: argparse.Namespace) -> List[JobSpec]:
-    specs = _sweep_specs(args)
+    try:
+        specs = _sweep_specs(args)
+    except ValueError as exc:  # a spec the sweep cannot construct
+        raise SystemExit(f"invalid campaign: {exc}")
     if getattr(args, "chem_workers", 1) > 1:
         # cores_per_job is presentation-only (bitwise-invariant), so
         # stamping it here never changes job keys or cache hits.

@@ -13,7 +13,7 @@ result caching sound.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.datasets.generators import Dataset, DatasetSpec
 from repro.datasets.la import make_la
@@ -22,6 +22,7 @@ from repro.grid import RefinementCore
 
 __all__ = [
     "DATASET_BUILDERS",
+    "DATASET_SHAPES",
     "DEMO_SPEC",
     "dataset_names",
     "get_dataset",
@@ -44,6 +45,16 @@ DATASET_BUILDERS: Dict[str, Callable[[], Dataset]] = {
     "la": make_la,
     "ne": make_ne,
     "demo": DEMO_SPEC.build,
+}
+
+
+#: ``A(species, layers, points)`` shapes of the shipped datasets; kept
+#: static so pricing a job or building an analyzer program never pays
+#: for dataset materialisation.  A test pins these to the real shapes.
+DATASET_SHAPES: Dict[str, Tuple[int, int, int]] = {
+    "la": (35, 5, 700),
+    "ne": (35, 5, 3328),
+    "demo": (35, 4, 150),
 }
 
 

@@ -6,8 +6,10 @@ pipeline (Figure 12)::
 
     PreProc h+1 | Transport/Chemistry h | PostProc h-1 | PopExp h-1
 
-This module replays a recorded Airshed workload trace with a PopExp
-stage attached in one of two configurations:
+This module replays a recorded Airshed workload trace — the stage
+bodies and the :func:`~repro.model.mainloop.pipelined` mapping of the
+task-parallel Airshed, on four subgroups instead of three — with a
+PopExp stage attached in one of two configurations:
 
 * ``native``  — PopExp written in Fx, placed as an ordinary task on a
   node subgroup (the "all Fx version" of the paper);
@@ -28,7 +30,12 @@ from repro.foreign.interface import ForeignModuleBinding, Scenario
 from repro.foreign.popexp import PopExpFx, PopExpPvm, PopulationRaster
 from repro.fx.runtime import FxRuntime
 from repro.fx.tasks import PipelineStage
-from repro.model.dataparallel import HourReplayer, ParallelTiming, _timing_from_runtime
+from repro.model.mainloop import (
+    ParallelTiming,
+    ReplayStages,
+    pipelined,
+    task_mapping,
+)
 from repro.model.results import WorkloadTrace
 from repro.vm.machine import MachineSpec
 
@@ -65,17 +72,9 @@ def run_integrated(
     both modes see identical inputs, so their exposure outputs agree
     exactly while their timings differ by the integration overhead.
     """
-    main_nodes = nprocs - 2 * io_nodes - popexp_nodes
-    if main_nodes < 1:
-        raise ValueError(
-            f"need at least {2 * io_nodes + popexp_nodes + 1} nodes; got {nprocs}"
-        )
-
+    sizes = task_mapping(nprocs, io_nodes, extra_nodes=popexp_nodes)
     rt = FxRuntime(machine, nprocs)
-    in_grp, main_grp, out_grp, pop_grp = rt.split(
-        [io_nodes, main_nodes, io_nodes, popexp_nodes]
-    )
-    replayer = HourReplayer(main_grp, trace)
+    in_grp, main_grp, out_grp, pop_grp = rt.split(sizes + [popexp_nodes])
     population = PopulationRaster.from_grid(dataset.grid)
     mech = dataset.mechanism
 
@@ -88,8 +87,6 @@ def run_integrated(
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    hours = trace.hours
-    array_bytes = int(np.prod(trace.shape)) * machine.wordsize
     surface_bytes = trace.n_species * trace.npoints * machine.wordsize
 
     def surface_field(i: int) -> np.ndarray:
@@ -100,38 +97,22 @@ def run_integrated(
         base = dataset.initial_conditions()[:, 0, :]
         return base * rng.uniform(0.8, 1.6, size=(1, trace.npoints))
 
-    def run_input(i: int) -> None:
-        h = hours[i]
-        in_grp.charge_io("io:inputhour", h.input_bytes, ops=h.input_ops)
-        in_grp.charge_io("io:pretrans", 0.0, ops=h.pretrans_ops)
-
-    def run_main(i: int) -> None:
-        # The pipeline handoff to the output stage is the gather.
-        replayer.run_hour(hours[i], gather=False)
-
-    def run_output(i: int) -> None:
-        h = hours[i]
-        out_grp.charge_io("io:outputhour", h.output_bytes, ops=h.output_ops)
-
     def run_popexp(i: int) -> None:
         field = surface_field(i)
         if binding is not None:
             field = binding.transfer_to_foreign(field)
         popexp.process_hour(field)
 
-    stages = [
-        PipelineStage("input", in_grp, run_input,
-                      output_bytes=lambda i: hours[i].input_bytes),
-        PipelineStage("main", main_grp, run_main,
-                      output_bytes=lambda i: array_bytes),
-        PipelineStage("output", out_grp, run_output,
-                      output_bytes=(lambda i: 0) if mode == "foreign"
-                      else (lambda i: surface_bytes)),
-        PipelineStage("popexp", pop_grp, run_popexp),
-    ]
-    rt.pipeline(stages).execute(len(hours))
+    # The Airshed stages are the task-parallel program's, unchanged; the
+    # foreign binding relays the surface field itself, so only the
+    # native PopExp receives it as the output stage's pipeline handoff.
+    timing = pipelined(
+        rt, ReplayStages(trace, in_grp, main_grp, out_grp), len(trace.hours),
+        output_bytes=lambda i: 0 if mode == "foreign" else surface_bytes,
+        extra=[PipelineStage("popexp", pop_grp, run_popexp)],
+    )
     return IntegratedTiming(
         mode=mode,
-        timing=_timing_from_runtime(rt),
+        timing=timing,
         exposure=popexp.exposure.copy(),
     )

@@ -10,7 +10,7 @@ from repro.fx.darray import DistributedArray
 from repro.fx.distribution import ArrayLayout, DistKind, Distribution
 from repro.fx.ploop import parallel_do, parallel_reduce, replicated_do
 from repro.fx.redistribute import RedistributionPlan, plan_redistribution
-from repro.fx.runtime import FxRuntime, PhaseIO, dist_label
+from repro.fx.runtime import FxRuntime, dist_label
 from repro.fx.tasks import Pipeline, PipelineResult, PipelineStage, split_cluster
 
 __all__ = [
@@ -19,7 +19,6 @@ __all__ = [
     "Distribution",
     "DistributedArray",
     "FxRuntime",
-    "PhaseIO",
     "Pipeline",
     "PipelineResult",
     "PipelineStage",

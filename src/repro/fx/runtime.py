@@ -18,8 +18,7 @@ redistributions carry the paper's names (``"D_Repl->D_Trans"`` etc.).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -33,21 +32,7 @@ from repro.vm.cluster import Cluster, Subgroup
 from repro.vm.machine import MachineSpec
 from repro.vm.traffic import PhaseRecord, Timeline
 
-__all__ = ["FxRuntime", "PhaseIO", "dist_label"]
-
-
-@dataclass(frozen=True)
-class PhaseIO:
-    """Declared input/output variable sets of one named phase.
-
-    The Fx compiler derives these from the directives; our drivers
-    declare them explicitly so the static analyzer
-    (:mod:`repro.analyze`) can reason about data flow without executing
-    the program.
-    """
-
-    reads: FrozenSet[str] = frozenset()
-    writes: FrozenSet[str] = frozenset()
+__all__ = ["FxRuntime", "dist_label"]
 
 
 def dist_label(distribution: Distribution) -> str:
@@ -69,9 +54,6 @@ class FxRuntime:
     ) -> None:
         self.cluster = Cluster(machine, nprocs, tracer=tracer)
         self.world = self.cluster.subgroup(range(nprocs))
-        #: Declared data-access sets per phase name (``repro.analyze``
-        #: consumes these; execution ignores them).
-        self.phase_decls: Dict[str, PhaseIO] = {}
 
     # ------------------------------------------------------------------
     # properties
@@ -128,24 +110,6 @@ class FxRuntime:
         if plan.is_empty():
             return None
         return array.group.charge_communication(label, plan.batch)
-
-    # ------------------------------------------------------------------
-    # program description
-    # ------------------------------------------------------------------
-    def declare_phase(
-        self,
-        name: str,
-        reads: Iterable[str] = (),
-        writes: Iterable[str] = (),
-    ) -> PhaseIO:
-        """Register the declared read/write sets of a named phase.
-
-        Mirrors the input/output annotations of an Fx task region;
-        purely declarative (no effect on execution or timing).
-        """
-        decl = PhaseIO(reads=frozenset(reads), writes=frozenset(writes))
-        self.phase_decls[name] = decl
-        return decl
 
     # ------------------------------------------------------------------
     # computation

@@ -29,6 +29,7 @@ from repro.model.results import (
 from repro.model.sequential import TRACKED_SPECIES, SequentialAirshed
 from repro.model.taskparallel import (
     TaskParallelAirshed,
+    replay,
     replay_best_configuration,
     replay_task_parallel,
 )
@@ -59,6 +60,7 @@ __all__ = [
     "TRACKED_SPECIES",
     "WorkloadTrace",
     "concat_results",
+    "replay",
     "replay_data_parallel",
     "replay_task_parallel",
     "run_batched",

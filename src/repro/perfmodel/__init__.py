@@ -24,15 +24,9 @@ from repro.perfmodel.computation import (
     simple_phase_time,
 )
 from repro.perfmodel.predict import PerformancePredictor, PredictedTimes
-from repro.perfmodel.whatif import (
-    BalancePoint,
-    comm_fraction_sweep,
-    network_balance_margin,
-)
 
 __all__ = [
     "ArrayGeometry",
-    "BalancePoint",
     "CalibratedModel",
     "CommunicationModel",
     "DEFAULT_DRIFT_BAND",
@@ -48,12 +42,10 @@ __all__ = [
     "UniformAirshedModel",
     "block_phase_time",
     "chemistry_fraction",
-    "comm_fraction_sweep",
     "compare_grid_strategies",
     "estimated_trace",
     "fit_comm_parameters",
     "fit_compute_rate",
     "intra_job_speedup",
-    "network_balance_margin",
     "simple_phase_time",
 ]

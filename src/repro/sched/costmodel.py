@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
-from repro.analyze.programs import DATASET_SHAPES
+from repro.datasets.registry import DATASET_SHAPES, get_dataset
 from repro.perfmodel.estimate import estimated_trace
 from repro.perfmodel.intranode import chemistry_fraction, intra_job_speedup
 from repro.perfmodel.predict import PerformancePredictor
@@ -58,16 +58,14 @@ REPLAY_WALL_BASE = 0.05
 #: run per member and are charged in full.
 ENSEMBLE_MARGINAL_CHEMISTRY = 0.3
 
-#: Known (species, layers, points) shapes, shared with the static
-#: analyzer so pricing a job never materialises a shipped dataset;
+#: Known (species, layers, points) shapes, so pricing a job never
+#: materialises a shipped dataset;
 #: unknown (registered) datasets are materialised once and memoized.
 _SHAPE_CACHE: Dict[str, Tuple[int, int, int]] = dict(DATASET_SHAPES)
 
 
 def _dataset_shape(name: str) -> Tuple[int, int, int]:
     if name not in _SHAPE_CACHE:
-        from repro.datasets.registry import get_dataset
-
         _SHAPE_CACHE[name] = get_dataset(name).shape
     return _SHAPE_CACHE[name]
 

@@ -28,11 +28,10 @@ from repro.datasets.registry import get_dataset
 from repro.durable import atomic_write
 from repro.model.checkpoint import load_checkpoint, resume_config, save_checkpoint
 from repro.model.config import AirshedConfig
-from repro.model.dataparallel import replay_data_parallel
 from repro.model.ensemble import PerturbedDataset
 from repro.model.results import AirshedResult, concat_results
 from repro.model.sequential import SequentialAirshed
-from repro.model.taskparallel import replay_task_parallel
+from repro.model.taskparallel import replay
 from repro.sched.faults import FaultPolicy, InjectedFault, InjectedHang
 from repro.sched.interfaces import AttemptEnv, AttemptOutcome, Executor
 from repro.sched.job import JobSpec
@@ -192,17 +191,12 @@ def execute_job(
         )
 
     check_time()
-    if spec.variant == "data":
-        timing = replay_data_parallel(
-            science.trace, get_machine(spec.machine), spec.nprocs
+    timing = None
+    if spec.variant != "sequential":  # a sequential job names no machine
+        timing = replay(
+            spec.variant, science.trace, get_machine(spec.machine),
+            spec.nprocs, io_nodes=spec.io_nodes,
         )
-    elif spec.variant == "task":
-        timing = replay_task_parallel(
-            science.trace, get_machine(spec.machine), spec.nprocs,
-            io_nodes=spec.io_nodes,
-        )
-    else:
-        timing = None
     return science, timing, science_cached
 
 

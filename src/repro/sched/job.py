@@ -29,6 +29,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.model.dataparallel import ParallelTiming
+from repro.model.mainloop import task_mapping
 
 __all__ = ["JobSpec", "JobResult", "VARIANTS", "JOB_STATUSES"]
 
@@ -48,6 +49,11 @@ _SCIENCE_FIELDS = (
     "perturb_sigma",
 )
 _EXEC_FIELDS = ("variant", "machine", "nprocs", "io_nodes")
+_FIELD_TYPES = {
+    "dataset": str, "variant": str, "machine": str, "tag": str,
+    "hours": int, "start_hour": int, "nprocs": int, "io_nodes": int,
+    "cores_per_job": int,
+}
 
 # Every dataclass field must appear in _SCIENCE_FIELDS, _EXEC_FIELDS or
 # the class's PRESENTATION_FIELDS — the FX040 key-drift verifier
@@ -104,6 +110,16 @@ class JobSpec:
     tag: str = ""
 
     def __post_init__(self) -> None:
+        # Specs arrive from outside the program (HTTP submit, journals):
+        # a wrong type must be refused here, not deep inside a wave.
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise TypeError(
+                    f"{name} must be {kind.__name__}, not {value!r}"
+                )
+        if not isinstance(self.perturb_seed, (int, type(None))):
+            raise TypeError("perturb_seed must be an integer or null")
         if self.hours < 1:
             raise ValueError("hours must be >= 1")
         if self.cores_per_job < 1:
@@ -114,6 +130,9 @@ class JobSpec:
             )
         if self.variant != "sequential" and self.nprocs < 1:
             raise ValueError("nprocs must be >= 1")
+        if self.variant == "task":
+            # An impossible mapping is refused before any science runs.
+            task_mapping(self.nprocs, self.io_nodes)
         if self.perturb_sigma < 0:
             raise ValueError("perturb_sigma must be non-negative")
 

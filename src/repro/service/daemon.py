@@ -52,6 +52,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
+from repro.datasets.registry import DATASET_BUILDERS, dataset_names
 from repro.observe.tracer import Tracer
 from repro.sched.cache import ResultCache
 from repro.sched.interfaces import Executor, JobStore, ResultStore
@@ -64,6 +65,7 @@ from repro.service.jobstore import (
     ServiceState,
 )
 from repro.service.queue import FairShareQueue, QueueItem
+from repro.vm.machine import get_machine
 
 __all__ = ["CampaignService", "build_http_server"]
 
@@ -207,6 +209,19 @@ class CampaignService:
         specs = list(specs)
         if not specs:
             raise ValueError("a campaign needs at least one job spec")
+        for spec in specs:
+            # Refused before anything is journaled or an id is consumed:
+            # a name the planner cannot resolve would fail its whole wave.
+            if spec.dataset not in DATASET_BUILDERS:
+                raise ValueError(
+                    f"unknown dataset {spec.dataset!r}; "
+                    f"choose from {dataset_names()}"
+                )
+            if spec.variant != "sequential":  # which names no machine
+                try:
+                    get_machine(spec.machine)
+                except KeyError as exc:
+                    raise ValueError(exc.args[0]) from None
         if self.chem_workers > 1:
             # Key-stable: cores_per_job is a presentation field.
             specs = [
@@ -317,8 +332,29 @@ class CampaignService:
                 wave.append(item)
         if not wave:
             return 0
-        self._execute_wave(wave)
+        try:
+            self._execute_wave(wave)
+        except Exception as exc:  # noqa: BLE001 - the loop outlives any wave
+            self._fail_wave(wave, f"{type(exc).__name__}: {exc}")
         return len(wave)
+
+    def _fail_wave(self, wave: List[QueueItem], error: str) -> None:
+        """Deliver a wave that raised as journaled ``failed`` rows.
+
+        Jobs the wave had already delivered keep their outcome; the rest
+        end ``failed`` carrying ``error``, so their campaigns finish and
+        a restart does not re-enqueue them.
+        """
+        self._count("service:failed_waves")
+        with self._lock:
+            for item in wave:
+                record = self.campaigns.get(item.cid)
+                if record is not None and item.spec.key not in record.jobs:
+                    self._deliver(item, JobResult(
+                        spec=item.spec, status="failed", error=error,
+                    ))
+            for cid in sorted({item.cid for item in wave}):
+                self._maybe_finish(cid)
 
     def run_until_idle(self) -> int:
         """Drain waves until the queue is empty; returns jobs run."""

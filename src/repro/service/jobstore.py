@@ -95,12 +95,22 @@ class ServiceState:
         etype = event.get("type")
         cid = event.get("cid", "")
         if etype == "submit":
+            specs, status = [], "queued"
+            for d in event.get("specs", []):
+                try:
+                    specs.append(JobSpec.from_dict(d))
+                except (TypeError, ValueError):
+                    # Journaled by a version that accepted what this one
+                    # refuses (an impossible task mapping): it can never
+                    # run, so the campaign is failed, not re-enqueued.
+                    status = "failed"
             self.campaigns[cid] = CampaignRecord(
                 cid=cid,
                 tenant=event.get("tenant", "default"),
-                specs=[JobSpec.from_dict(d) for d in event.get("specs", [])],
+                specs=specs,
                 workers=int(event.get("workers", 1)),
                 fuse=bool(event.get("fuse", True)),
+                status=status,
             )
             try:
                 self.next_seq = max(self.next_seq, int(cid[1:]) + 1)

@@ -134,10 +134,15 @@ class Autotuner:
                     continue
                 for machine in cfg.machines:
                     for nprocs in cfg.node_counts:
-                        out.append(replace(
-                            spec, variant=variant, machine=machine,
-                            nprocs=nprocs, cores_per_job=cores,
-                        ))
+                        try:
+                            out.append(replace(
+                                spec, variant=variant, machine=machine,
+                                nprocs=nprocs, cores_per_job=cores,
+                            ))
+                        except ValueError:
+                            # Not a mapping this variant can run on
+                            # (task parallelism on too few nodes).
+                            continue
         return out
 
     def _price(self, cand: JobSpec) -> Dict[str, float]:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.model.dataparallel import HourReplayer, declare_airshed_phases
+from repro.model.dataparallel import replayed
 from repro.model.results import WorkloadTrace
 from repro.observe.compare import COMPONENTS, breakdown
 from repro.observe.tracer import Tracer
@@ -231,25 +231,7 @@ def traced_replay(
     machine_spec: MachineSpec,
     nprocs: int,
 ):
-    """Data-parallel replay returning ``(tracer, timeline)``.
-
-    Mirrors :func:`repro.model.dataparallel.replay_data_parallel` but
-    exposes both the span stream and the runtime
-    :class:`~repro.vm.traffic.Timeline` (the public replay returns only
-    the timing summary), and accepts an explicit — possibly perturbed —
-    :class:`~repro.vm.machine.MachineSpec`.
-    """
-    from repro.fx.runtime import FxRuntime
-
-    tracer = Tracer()
-    rt = FxRuntime(machine_spec, nprocs, tracer=tracer)
-    declare_airshed_phases(rt)
-    replayer = HourReplayer(rt.world, trace)
-    for hour in trace.hours:
-        with rt.span(f"hour:{hour.hour:02d}", kind="hour", hour=hour.hour):
-            rt.sequential_io("inputhour", hour.input_bytes, ops=hour.input_ops)
-            rt.sequential_io("pretrans", 0.0, ops=hour.pretrans_ops)
-            replayer.run_hour(hour)
-            rt.sequential_io("outputhour", hour.output_bytes,
-                             ops=hour.output_ops)
-    return tracer, rt.timeline
+    """:func:`~repro.model.dataparallel.replay_data_parallel` returning
+    ``(tracer, timeline)`` instead of the timing summary."""
+    _, rt = replayed(trace, machine_spec, nprocs, tracer=Tracer())
+    return rt.tracer, rt.timeline

@@ -1,9 +1,12 @@
 """Static plan vs executed trace (FX030), and the paper's 77 steps."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analyze import (
     analyze_program,
+    available_programs,
     build_program,
     crosscheck_spans,
     executed_comm_steps,
@@ -11,7 +14,10 @@ from repro.analyze import (
     run_crosscheck,
     synthetic_trace,
 )
-from repro.observe.tracer import Span
+from repro.analyze.crosscheck import DRIVER_VARIANTS
+from repro.model import replay
+from repro.observe.tracer import Span, Tracer
+from repro.vm import get_machine
 
 
 class TestPaperConfiguration:
@@ -47,6 +53,35 @@ def test_shipped_drivers_crosscheck_clean(driver):
     assert not [d for d in report.diagnostics if d.code == "FX030"]
     assert report.summary["predicted_comm_steps"] == \
         report.summary["executed_comm_steps"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 7), st.integers(1, 40)),
+    hours=st.integers(1, 3),
+    steps_per_hour=st.integers(1, 4),
+    io_nodes=st.integers(1, 3),
+    main_nodes=st.integers(1, 20),
+)
+def test_generated_plan_is_the_executed_plan(shape, hours, steps_per_hour,
+                                             io_nodes, main_nodes):
+    """For every registered program the plan generated from the model's
+    tables names exactly the communication steps the replay — through
+    the one ``variant -> replay`` entry point — charges, in order."""
+    nprocs = main_nodes + 2 * io_nodes  # always a possible task mapping
+    machine = get_machine("t3e")
+    trace = synthetic_trace(shape, hours, steps_per_hour)
+    assert set(available_programs()) == set(DRIVER_VARIANTS)
+    for driver in available_programs():
+        prog = build_program(
+            driver, shape=shape, machine=machine, nprocs=nprocs,
+            hours=hours, steps_per_hour=steps_per_hour, io_nodes=io_nodes,
+        )
+        tracer = Tracer()
+        replay(DRIVER_VARIANTS[driver], trace, machine, prog.nprocs,
+               io_nodes=io_nodes, tracer=tracer)
+        assert [s.name for s in prog.comm_plan()] == \
+            executed_comm_steps(tracer.spans), driver
 
 
 class TestSpanComparison:

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.analyze import available_programs, build_program, register_program
-from repro.analyze.programs import DATASET_SHAPES, PHASE_IO
-from repro.fx.runtime import FxRuntime
-from repro.model.dataparallel import declare_airshed_phases
+from repro.analyze.programs import DATASET_SHAPES
 from repro.model.taskparallel import STAGE_IO
-from repro.vm import get_machine
 
 
 class TestRegistry:
@@ -42,17 +39,6 @@ def test_demo_shape_matches_the_real_dataset():
 
     dataset = DEMO_SPEC.build()
     assert DATASET_SHAPES["demo"] == dataset.shape
-
-
-def test_phase_io_mirrors_runtime_declarations():
-    """PHASE_IO (the analyzer's table) and declare_airshed_phases (what
-    the drivers register on their FxRuntime) must stay in sync."""
-    rt = FxRuntime(get_machine("t3e"), 4)
-    declare_airshed_phases(rt)
-    assert set(rt.phase_decls) == set(PHASE_IO)
-    for name, decl in rt.phase_decls.items():
-        assert decl.reads == PHASE_IO[name]["reads"], name
-        assert decl.writes == PHASE_IO[name]["writes"], name
 
 
 def test_taskparallel_program_mirrors_stage_io():

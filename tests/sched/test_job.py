@@ -63,6 +63,25 @@ class TestValidation:
             JobSpec(variant="data", nprocs=0)
 
 
+    @pytest.mark.parametrize("bad", [
+        dict(nprocs=2), dict(nprocs=16, io_nodes=0),
+        dict(nprocs=8, io_nodes=4),
+    ])
+    def test_impossible_task_mapping(self, bad):
+        """Refused at construction: no science runs, nothing retries."""
+        with pytest.raises(ValueError, match="nodes|io_nodes"):
+            JobSpec(variant="task", **bad)
+        JobSpec(variant="data", **bad)  # only the pipeline needs the split
+
+    @pytest.mark.parametrize("bad", [
+        dict(nprocs="64"), dict(io_nodes=1.0), dict(machine=5),
+        dict(hours=None), dict(dataset=["la"]), dict(perturb_seed="7"),
+    ])
+    def test_wrong_types(self, bad):
+        with pytest.raises(TypeError):
+            JobSpec(**bad)
+
+
 class TestLabel:
     def test_tag_wins(self):
         assert JobSpec(tag="my job").label == "my job"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.sched import scaling_ladder
+from repro.sched import JobSpec, scaling_ladder
 from repro.service import CampaignService, JournalJobStore
 
 
@@ -168,6 +168,144 @@ class TestCrashRecovery:
         svc2 = make_service(root)
         assert svc2.status(cid)["status"] == "done"
         assert len(svc2.results(cid)) == 2
+
+
+def journal_bytes(root):
+    path = JournalJobStore(root).journal_path
+    return path.read_bytes() if path.exists() else b""
+
+
+@pytest.fixture
+def boom_dataset():
+    """A registered dataset whose builder raises: it passes submit
+    validation and blows up inside the wave's planner."""
+    from repro.datasets.registry import DATASET_BUILDERS, register_dataset
+
+    def builder():
+        raise RuntimeError("boom: dataset cannot be built")
+
+    register_dataset("boom", builder)
+    yield "boom"
+    del DATASET_BUILDERS["boom"]
+
+
+class TestPoisonSubmissions:
+    """One bad submit must not take the daemon down (or be journaled)."""
+
+    @pytest.mark.parametrize("bad", [
+        dict(machine="cray"),
+        dict(dataset="mars"),
+        dict(dataset="mars", variant="sequential"),
+    ])
+    def test_unregistered_names_rejected_before_the_journal(
+            self, tmp_path, bad):
+        root = tmp_path / "svc"
+        svc = make_service(root)
+        svc.submit("alice", ladder((4,)))
+        before = journal_bytes(root)
+        with pytest.raises(ValueError, match="unknown"):
+            svc.submit("mallory", [JobSpec(hours=1, **bad)])
+        assert journal_bytes(root) == before
+        # no campaign id was consumed and nothing was enqueued
+        assert svc.submit("alice", ladder((16,))) == "c000002"
+        assert svc.run_until_idle() == 2
+
+    def test_sequential_specs_name_no_machine(self, tmp_path):
+        svc = make_service(tmp_path / "svc")
+        cid = svc.submit("alice", [JobSpec(
+            dataset="demo", hours=1, variant="sequential", machine="")])
+        svc.run_until_idle()
+        assert svc.status(cid)["status"] == "done"
+
+    def test_wave_exception_becomes_failed_rows(self, tmp_path,
+                                                boom_dataset):
+        svc = make_service(tmp_path / "svc")
+        bad = svc.submit("mallory", [JobSpec(dataset=boom_dataset, hours=1)])
+        good = svc.submit("alice", ladder((4,)))
+        svc.run_until_idle()
+        assert svc.status(bad)["status"] == "failed"
+        (row,) = svc.results(bad)
+        assert row["status"] == "failed"
+        assert "RuntimeError: boom" in row["error"]
+        # the good job shared the poisoned wave: it failed with it (and
+        # says why) rather than hanging queued forever...
+        assert svc.status(good)["status"] == "failed"
+        # ...and the loop kept draining: the same work resubmitted runs
+        again = svc.submit("alice", ladder((4,)))
+        svc.run_until_idle()
+        assert svc.status(again)["status"] == "done"
+        counters = svc.stats()["counters"]
+        assert counters["service:failed_waves"] == 1
+        # failed rows are durable: a restart re-enqueues nothing
+        svc2 = make_service(tmp_path / "svc")
+        assert svc2.status(bad)["status"] == "failed"
+        assert svc2.run_until_idle() == 0
+
+    def test_daemon_thread_survives_a_poison_wave(self, tmp_path,
+                                                  boom_dataset):
+        import time
+
+        svc = CampaignService(tmp_path / "svc", workers=1,
+                              executor="inline")
+        svc.start()
+        thread = svc._thread
+        try:
+            bad = svc.submit("mallory",
+                             [JobSpec(dataset=boom_dataset, hours=1)])
+            good = svc.submit("alice", ladder((4,)))
+            deadline = time.monotonic() + 30.0
+            # fair share decides which tenant's wave goes first
+            while (any(svc.status(c)["status"] not in ("done", "failed")
+                       for c in (bad, good))
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert svc.status(bad)["status"] == "failed"
+            assert svc.status(good)["status"] == "done"
+            assert thread.is_alive()
+        finally:
+            svc.stop()
+        assert not thread.is_alive()
+
+    def test_journal_holding_a_poison_spec_resumes(self, tmp_path):
+        """A journal written before submit validated names: the queued
+        spec fails its wave, durably, and the service carries on."""
+        root = tmp_path / "svc"
+        poison = JobSpec(hours=1, machine="cray").to_dict()
+        JournalJobStore(root).append({
+            "type": "submit", "cid": "c000001", "tenant": "mallory",
+            "specs": [poison], "workers": 2, "fuse": True,
+        })
+        svc = make_service(root)
+        assert svc.status("c000001")["queued"] == 1
+        good = svc.submit("alice", ladder((4,)))
+        assert good == "c000002"
+        svc.run_until_idle()
+        assert svc.status("c000001")["status"] == "failed"
+        assert "cray" in svc.results("c000001")[0]["error"]
+        # workers=2 put both jobs in the one poisoned wave; the retry runs
+        retry = svc.submit("alice", ladder((4,)))
+        svc.run_until_idle()
+        assert svc.status(retry)["status"] == "done"
+        svc2 = make_service(root)
+        assert svc2.run_until_idle() == 0
+
+    def test_journal_holding_an_impossible_mapping_resumes(self, tmp_path):
+        """``variant=task, nprocs=2`` was accepted (and failed after its
+        retries) before specs validated their mapping; replaying such a
+        journal must not stop the service from starting."""
+        root = tmp_path / "svc"
+        spec = dict(JobSpec(hours=1).to_dict(), variant="task", nprocs=2)
+        JournalJobStore(root).append({
+            "type": "submit", "cid": "c000001", "tenant": "mallory",
+            "specs": [spec], "workers": 2, "fuse": True,
+        })
+        svc = make_service(root)
+        assert svc.status("c000001")["status"] == "failed"
+        assert svc.run_until_idle() == 0
+        cid = svc.submit("alice", ladder((4,)))
+        assert cid == "c000002"
+        svc.run_until_idle()
+        assert svc.status(cid)["status"] == "done"
 
 
 class TestMultiTenantE2E:

@@ -95,6 +95,33 @@ class TestErrors:
             client.submit([], tenant="alice")
         assert err.value.code == 400
 
+    @pytest.mark.parametrize("bad", [
+        {"nprocs": "64"},
+        {"nprocs": None},
+        {"io_nodes": [1]},
+        {"machine": 5},
+        {"machine": "cray"},
+        {"dataset": "mars"},
+        {"variant": "task", "nprocs": 2},
+        {"variant": "task", "io_nodes": 0},
+        {"variant": "mpi"},
+        {"no_such_field": 1},
+    ])
+    def test_malformed_submission_is_400(self, served, bad):
+        """Refused at the door: HTTP 400, journal untouched, daemon up."""
+        service, client = served
+        client.submit(ladder((4,)), tenant="alice")
+        journal = service.store.journal_path
+        before = journal.read_bytes()
+        with pytest.raises(ServiceError) as err:
+            client.submit([{"dataset": "demo", "hours": 1, **bad}],
+                          tenant="mallory")
+        assert err.value.code == 400
+        assert journal.read_bytes() == before
+        assert client.health() == {"ok": True, "campaigns": 1}
+        service.run_until_idle()
+        assert client.status("c000001")["status"] == "done"
+
     def test_unknown_route_is_404(self, served):
         _, client = served
         with pytest.raises(ServiceError) as err:

@@ -225,6 +225,14 @@ class TestCampaign:
         assert rc == 1
         assert "1 failed" in capsys.readouterr().out
 
+    def test_impossible_task_ladder_is_a_one_line_exit(self, tmp_path):
+        """The default ladder starts at P=1: no task mapping exists, and
+        that is said once, at plan time, not after the science ran."""
+        with pytest.raises(SystemExit, match="needs at least 3 nodes"):
+            main(["campaign", "plan", "--sweep", "ladder",
+                  "--dataset", "demo", "--hours", "1", "--variant", "task",
+                  "--cache-dir", str(tmp_path / "c")])
+
     def test_empty_status(self, tmp_path, capsys):
         rc = main(["campaign", "status",
                    "--cache-dir", str(tmp_path / "empty")])

@@ -114,6 +114,31 @@ class TestHarvestTrace:
         assert any(c.predicted_s != s.predicted_s
                    for c, s in zip(clean, skewed))
 
+    def test_traced_replay_is_the_public_replay(self, tiny_trace,
+                                                monkeypatch):
+        """One replay, two views: the spans and the timeline records are
+        field for field those ``replay_data_parallel`` produces."""
+        from repro.model import dataparallel
+        from repro.observe.tracer import Tracer
+
+        runtimes = []
+        real = dataparallel.FxRuntime
+
+        def capture(*args, **kwargs):
+            runtimes.append(real(*args, **kwargs))
+            return runtimes[-1]
+
+        monkeypatch.setattr(dataparallel, "FxRuntime", capture)
+        machine = get_machine("t3e")
+        tracer, timeline = traced_replay(tiny_trace, machine, 4)
+        reference = Tracer()
+        dataparallel.replay_data_parallel(tiny_trace, machine, 4,
+                                          tracer=reference)
+        assert tracer.spans == reference.spans
+        assert timeline is runtimes[0].timeline
+        assert len(timeline) > 0
+        assert list(timeline) == list(runtimes[1].timeline)
+
     def test_timeline_observations_carry_traffic_and_ops(self, tiny_trace):
         _, timeline = traced_replay(tiny_trace, get_machine("t3e"), 4)
         obs = observations_from_timelines(
