@@ -17,8 +17,10 @@ performance model exploits.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,6 +30,7 @@ __all__ = [
     "WorkloadTrace",
     "AirshedResult",
     "concat_results",
+    "freeze_arrays",
 ]
 
 
@@ -131,6 +134,21 @@ class AirshedResult:
     hourly_mean: Dict[str, List[float]]       # species -> per-hour domain mean
     hourly_surface: Optional[List[np.ndarray]] = None  # per-hour layer-0 fields
 
+    @cached_property
+    def final_conc_sha256(self) -> str:
+        """SHA-256 of ``final_conc``'s bytes, derived once per object.
+
+        Always computed from the array this process holds (fresh from
+        the numerics or decoded from a cache entry) and never pickled,
+        so a stored result cannot vouch for itself.
+        """
+        return hashlib.sha256(self.final_conc.tobytes()).hexdigest()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("final_conc_sha256", None)
+        return state
+
     def species_series(self, name: str) -> np.ndarray:
         if name not in self.hourly_mean:
             raise KeyError(f"no series recorded for species {name!r}")
@@ -139,6 +157,21 @@ class AirshedResult:
     def peak(self, name: str) -> float:
         """Peak hourly domain-mean of a species over the run."""
         return float(self.species_series(name).max())
+
+
+def freeze_arrays(obj: Any) -> None:
+    """Mark every array of a result tree (dataclasses, dicts, lists)
+    read-only: what a memo hands to every caller must not be written."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            freeze_arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            freeze_arrays(value)
+    elif hasattr(obj, "__dict__"):
+        freeze_arrays(vars(obj))
 
 
 def concat_results(parts: List["AirshedResult"]) -> AirshedResult:

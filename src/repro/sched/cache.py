@@ -21,6 +21,10 @@ entry lost to a power cut is re-derived.  Unreadable entries are misses,
 removed on the get path; :meth:`~ResultCache.iter_jobs` merely skips
 them.  Every instance keeps hit/miss/eviction/corrupt tallies, exposed
 by :meth:`~ResultCache.stats` together with per-shard occupancy.
+
+A science entry is a pure function of its key, so each instance also
+keeps the few it decoded last in memory (see :class:`ResultCache`): a
+read of one of those costs a ``stat``, not an unpickle.
 """
 
 from __future__ import annotations
@@ -28,12 +32,31 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+from collections import OrderedDict
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple, Union
 
 from repro.durable import atomic_write
+from repro.model.results import freeze_arrays
 
 __all__ = ["ResultCache", "ShardedResultCache"]
+
+#: Entry-file bytes the decoded-science memo of one cache may hold.  A
+#: wave touches at most ``workers`` science keys and an LA entry is
+#: 1-5 MB, so this keeps a daemon's working set and bounds its memory.
+MEMO_BYTES = 32 << 20
+
+
+def _signature(path: Path) -> Optional[Tuple[int, int, int]]:
+    """(inode, size, mtime) of an entry file, ``None`` without one: what
+    tells one version of it from the next.  Writers replace entries
+    (:func:`~repro.durable.atomic_write`: a new inode); damage in place
+    changes the size or the mtime."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_ino, st.st_size, st.st_mtime_ns
 
 
 class ResultCache:
@@ -50,6 +73,23 @@ class ResultCache:
     results (jobs are cheap to lose: they re-derive from science),
     oldest access first — until the cache fits.  The entry just written
     is never evicted by its own put.
+
+    **The decoded-science memo.**  ``get_science`` and ``get_job`` go
+    through one in-memory map ``science_key -> decoded entry``.  Its
+    invariants: (1) *validated on every access* — a ``stat`` of the
+    entry file must match the (inode, size, mtime) the entry was decoded
+    from, so an entry that was evicted, unlinked, replaced or damaged on
+    disk is never served from memory and is counted exactly as a cold
+    read would count it; (2) *recency refreshed* — a memory hit still
+    touches the file, so on-disk LRU eviction sees the access; (3)
+    *bounded* — at most :data:`MEMO_BYTES` of entry files, least
+    recently used dropped first, a larger entry never retained; (4)
+    *read-only* — every array of a decoded entry is non-writeable, one
+    object serves all threads; (5) *not shipped* — pickling the cache
+    (the process executor does) leaves the memo behind.  ``hits`` and
+    ``misses`` mean what they always did (a memory-served entry is a
+    hit); ``decodes`` / ``decoded_bytes`` count the science entries
+    actually unpickled and their file sizes.
     """
 
     def __init__(self, root: Union[str, Path], shards: int = 16,
@@ -61,22 +101,31 @@ class ResultCache:
         self.root = Path(root)
         self.shards = int(shards)
         self.max_bytes = max_bytes
-        self._stats_lock = threading.Lock()
-        self._evict_lock = threading.Lock()
         self._counters = {
             "hits": 0, "misses": 0, "evictions": 0, "corrupt_entries": 0,
+            "decodes": 0, "decoded_bytes": 0,
         }
+        self._unshipped()
+
+    def _unshipped(self) -> None:
+        """The state no pickle carries: locks and the decoded memo."""
+        self._stats_lock = threading.Lock()
+        self._evict_lock = threading.Lock()
+        self._memo_lock = threading.Lock()
+        #: science_key -> (file signature, decoded entry), LRU first.
+        self._memo: "OrderedDict[str, Tuple[Tuple[int, int, int], Any]]" = (
+            OrderedDict())
 
     # -- pickling (the process executor ships the cache to workers) ----
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
-        del state["_stats_lock"], state["_evict_lock"]
+        for name in ("_stats_lock", "_evict_lock", "_memo_lock", "_memo"):
+            del state[name]
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
-        self._stats_lock = threading.Lock()
-        self._evict_lock = threading.Lock()
+        self._unshipped()
 
     # -- stats ---------------------------------------------------------
     def _bump(self, name: str, amount: int = 1) -> None:
@@ -172,13 +221,49 @@ class ResultCache:
             pass
 
     # -- science results -----------------------------------------------
-    def get_science(self, science_key: str) -> Optional[Any]:
-        result = self._load(self.science_path(science_key))
+    def _science(self, science_key: str) -> Optional[Any]:
+        """The decoded entry — from memory while the file is still the
+        one it was decoded from — or ``None``; an access refreshes the
+        file's recency either way."""
+        path = self.science_path(science_key)
+        with self._memo_lock:
+            slot = self._memo.get(science_key)
+            if slot is not None:
+                if slot[0] == _signature(path):
+                    self._remember(science_key, path, *slot)
+                    return slot[1]
+                del self._memo[science_key]  # the file changed under it
+        read = _signature(path)
+        result = None if read is None else self._load(path)
         if result is None:
-            self._bump("misses")
-        else:
-            self._bump("hits")
-            self._mark_used(self.science_path(science_key))
+            return None
+        self._bump("decodes")
+        self._bump("decoded_bytes", read[1])
+        freeze_arrays(result)
+        with self._memo_lock:
+            self._remember(science_key, path, read, result)
+            while sum(sig[1] for sig, _ in self._memo.values()) > MEMO_BYTES:
+                self._memo.popitem(last=False)
+        return result
+
+    def _remember(self, science_key: str, path: Path,
+                  read: Tuple[int, int, int], result: Any) -> None:
+        """Touch the entry and keep ``result`` under the file's new
+        signature — if the file touched is still the one ``result`` was
+        read from (signature ``read``).  Holding the memo lock across
+        validate, touch and record keeps one thread's touch from looking
+        like a rewrite to the next."""
+        self._mark_used(path)
+        now = _signature(path)
+        if now is None or now[:2] != read[:2]:
+            self._memo.pop(science_key, None)
+            return
+        self._memo[science_key] = (now, result)
+        self._memo.move_to_end(science_key)
+
+    def get_science(self, science_key: str) -> Optional[Any]:
+        result = self._science(science_key)
+        self._bump("misses" if result is None else "hits")
         return result
 
     def put_science(self, science_key: str, result: Any) -> None:
@@ -196,7 +281,7 @@ class ResultCache:
         if payload is None:
             self._bump("misses")
             return None
-        science = self._load(self.science_path(payload["science_key"]))
+        science = self._science(payload["science_key"])
         if science is None:
             self._bump("misses")
             self._bump("evictions")
@@ -204,7 +289,6 @@ class ResultCache:
             return None
         self._bump("hits")
         self._mark_used(self.job_path(key))
-        self._mark_used(self.science_path(payload["science_key"]))
         payload["result"] = science
         return payload
 

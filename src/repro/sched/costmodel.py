@@ -20,14 +20,23 @@ runner caches it), so the model charges the science cost once per
 science key and a replay-only cost to the rest; a cache-aware model
 (constructed with the campaign's cache) charges nothing for science
 that is already stored.
+
+A price is a pure function of values — the episode, the machine profile
+*by value*, the node count — so the estimated trace and each Section-4
+total are derived once per process (:func:`episode_trace`,
+:func:`_predicted_total`: bounded, keyed by those values) however many
+models a daemon builds.  A calibrated profile, a refit host rate or a
+tile fraction is a different value and therefore a different price.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.datasets.registry import DATASET_SHAPES, get_dataset
+from repro.model.results import WorkloadTrace, freeze_arrays
 from repro.perfmodel.estimate import estimated_trace
 from repro.perfmodel.intranode import chemistry_fraction, intra_job_speedup
 from repro.perfmodel.predict import PerformancePredictor
@@ -40,7 +49,7 @@ from repro.vm.machine import (
     workstation_spec,
 )
 
-__all__ = ["PredictedJobCost", "CampaignCostModel"]
+__all__ = ["PredictedJobCost", "CampaignCostModel", "episode_trace"]
 
 #: Wall overhead of replaying a recorded workload on the simulated
 #: machine: per main-loop step plus a fixed layout/plan setup cost.
@@ -68,6 +77,31 @@ def _dataset_shape(name: str) -> Tuple[int, int, int]:
     if name not in _SHAPE_CACHE:
         _SHAPE_CACHE[name] = get_dataset(name).shape
     return _SHAPE_CACHE[name]
+
+
+@lru_cache(maxsize=256)
+def episode_trace(dataset: str, hours: int, start_hour: int,
+                  steps_per_hour: int) -> WorkloadTrace:
+    """The nominal-work trace of one episode; shared, so read-only."""
+    trace = estimated_trace(
+        _dataset_shape(dataset),
+        hours=hours,
+        start_hour=start_hour,
+        steps_per_hour=steps_per_hour,
+        dataset_name=dataset,
+    )
+    freeze_arrays(trace)
+    return trace
+
+
+@lru_cache(maxsize=4096)
+def _predicted_total(episode: Tuple[str, int, int, int],
+                     machine: MachineSpec, nprocs: int) -> float:
+    """Section-4 seconds of ``episode`` on ``nprocs`` nodes of ``machine``
+    (hashed by value: a refit profile never reads another's price)."""
+    return PerformancePredictor(
+        episode_trace(*episode), machine
+    ).predict_total(nprocs)
 
 
 @dataclass(frozen=True)
@@ -120,14 +154,12 @@ class CampaignCostModel:
         return override if override is not None else get_machine(name)
 
     # ------------------------------------------------------------------
-    def _trace(self, spec: JobSpec):
-        return estimated_trace(
-            _dataset_shape(spec.dataset),
-            hours=spec.hours,
-            start_hour=spec.start_hour,
-            steps_per_hour=self.steps_per_hour,
-            dataset_name=spec.dataset,
-        )
+    def _episode(self, spec: JobSpec) -> Tuple[str, int, int, int]:
+        return (spec.dataset, spec.hours, spec.start_hour,
+                self.steps_per_hour)
+
+    def _trace(self, spec: JobSpec) -> WorkloadTrace:
+        return episode_trace(*self._episode(spec))
 
     def science_seconds(self, spec: JobSpec) -> float:
         """Predicted wall seconds of the sequential numerics.
@@ -137,8 +169,7 @@ class CampaignCostModel:
         (:func:`repro.perfmodel.intranode.intra_job_speedup`): only the
         trace's chemistry fraction tiles, everything else stays serial.
         """
-        trace = self._trace(spec)
-        base = PerformancePredictor(trace, self._host).predict_total(1)
+        base = _predicted_total(self._episode(spec), self._host, 1)
         if spec.cores_per_job <= 1:
             return base
         if self.tile_fraction is not None:
@@ -148,7 +179,7 @@ class CampaignCostModel:
             fe = min(max(self.tile_fraction, 0.0), 1.0)
             return base * ((1.0 - fe) + fe / c)
         return base / intra_job_speedup(
-            spec.cores_per_job, chemistry_fraction(trace)
+            spec.cores_per_job, chemistry_fraction(self._trace(spec))
         )
 
     def marginal_science_seconds(self, spec: JobSpec) -> float:
@@ -195,12 +226,12 @@ class CampaignCostModel:
             replay_s = 0.0
             sim_s = 0.0
         else:
-            trace = self._trace(spec)
-            steps = trace.total_steps()
+            steps = self._trace(spec).total_steps()
             replay_s = REPLAY_WALL_BASE + REPLAY_WALL_PER_STEP * steps
-            sim_s = PerformancePredictor(
-                trace, self._machine(spec.machine)
-            ).predict_total(spec.nprocs)
+            sim_s = _predicted_total(
+                self._episode(spec), self._machine(spec.machine),
+                spec.nprocs,
+            )
         return PredictedJobCost(
             wall_s=science_s + replay_s,
             science_s=science_s,

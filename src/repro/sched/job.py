@@ -26,6 +26,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Optional
 
 from repro.model.dataparallel import ParallelTiming
@@ -137,6 +138,10 @@ class JobSpec:
             raise ValueError("perturb_sigma must be non-negative")
 
     # -- identity ------------------------------------------------------
+    # The three keys are pure functions of frozen fields, so each is
+    # derived once per instance (``cached_property`` writes straight into
+    # ``__dict__``, which a frozen dataclass allows).  ``replace()`` goes
+    # through ``__init__`` and so yields an instance that re-derives.
     def science_fields(self) -> Dict[str, Any]:
         d = asdict(self)
         return {k: d[k] for k in _SCIENCE_FIELDS}
@@ -149,17 +154,17 @@ class JobSpec:
             out.update(machine="", nprocs=0, io_nodes=0)
         return out
 
-    @property
+    @cached_property
     def science_key(self) -> str:
         """Content hash of the fields determining the science output."""
         return _digest(self.science_fields())
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Content hash naming the full job (science + execution)."""
         return _digest({**self.science_fields(), **self.exec_fields()})
 
-    @property
+    @cached_property
     def ensemble_key(self) -> Optional[str]:
         """Content hash of the science fields minus the member seed.
 
@@ -251,7 +256,7 @@ class JobResult:
     def final_conc_sha256(self) -> Optional[str]:
         if self.result is None:
             return None
-        return hashlib.sha256(self.result.final_conc.tobytes()).hexdigest()
+        return self.result.final_conc_sha256
 
     def summary_row(self) -> Dict[str, Any]:
         """Flat dict for report tables and JSON output."""

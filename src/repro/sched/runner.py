@@ -31,7 +31,6 @@ span stream.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -170,12 +169,15 @@ class CampaignRunner:
         results: Dict[str, JobResult] = {}
         if plan.jobs:
             chains = [[plan.jobs[i] for i in chain] for chain in plan.chains]
-            slots = list(range(self.workers))
-            if not self._executor_impl.concurrent or self.workers == 1:
+            # One chain has nothing to run beside: it stays on the
+            # calling thread (the planner puts it on worker 0, the slot
+            # a pool thread would have drawn).
+            if (not self._executor_impl.concurrent or self.workers == 1
+                    or len(chains) == 1):
                 for chain in chains:
                     self._run_chain(chain, chain[0].worker, results)
             else:
-                slot_pool: List[int] = slots.copy()
+                slot_pool: List[int] = list(range(self.workers))
 
                 def run_chain(chain: List[PlannedJob]) -> None:
                     with self._lock:
@@ -318,13 +320,12 @@ class CampaignRunner:
             wall = self._clock() - t0
             if science_cached:
                 self._count("campaign:science_cache_hits")
-            digest = hashlib.sha256(science.final_conc.tobytes()).hexdigest()
             self.cache.put_job(spec.key, {
                 "spec": spec.to_dict(),
                 "science_key": spec.science_key,
                 "timing": timing,
                 "status": "ok",
-                "final_conc_sha256": digest,
+                "final_conc_sha256": science.final_conc_sha256,
             })
             jr = JobResult(
                 spec=spec, status="ok", result=science, timing=timing,

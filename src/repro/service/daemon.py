@@ -448,9 +448,7 @@ class CampaignService:
         }
         if result.key != key:
             row["tuned_key"] = result.key
-        record.jobs[key] = row
-        if record.status == "queued":
-            record.status = "running"
+        record.deliver(key, row)
         self.store.append({
             "type": "job", "cid": item.cid, "key": key, "row": row,
         })

@@ -39,24 +39,37 @@ class CampaignRecord:
     fuse: bool = True
     status: str = "queued"
     jobs: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+    #: Unique job count; with ``_pending`` derived once, from ``specs``
+    #: as constructed, and kept current by :meth:`deliver`.
+    n_jobs: int = field(init=False)
+    _pending: Dict[str, JobSpec] = field(init=False, repr=False,
+                                         compare=False)
 
-    @property
-    def n_jobs(self) -> int:
-        return len({s.key for s in self.specs})
+    def __post_init__(self) -> None:
+        unique: Dict[str, JobSpec] = {}
+        for spec in self.specs:
+            unique.setdefault(spec.key, spec)
+        self.n_jobs = len(unique)
+        self._pending = {
+            key: spec for key, spec in unique.items() if key not in self.jobs
+        }
 
     @property
     def n_done(self) -> int:
         return len(self.jobs)
 
     def pending_specs(self) -> List[JobSpec]:
-        """Unique specs with no durable job outcome yet."""
-        pending, seen = [], set()
-        for spec in self.specs:
-            if spec.key in self.jobs or spec.key in seen:
-                continue
-            seen.add(spec.key)
-            pending.append(spec)
-        return pending
+        """Unique specs with no durable job outcome yet, submission
+        order."""
+        return list(self._pending.values())
+
+    def deliver(self, key: str, row: Dict[str, Any]) -> None:
+        """Record one job's durable outcome (the only writer of
+        ``jobs``)."""
+        self.jobs[key] = row
+        self._pending.pop(key, None)
+        if self.status == "queued":
+            self.status = "running"
 
     def summary(self) -> Dict[str, Any]:
         return {
@@ -121,9 +134,7 @@ class ServiceState:
         if record is None:
             return  # event for a campaign compacted away
         if etype == "job":
-            record.jobs[event["key"]] = event.get("row", {})
-            if record.status == "queued":
-                record.status = "running"
+            record.deliver(event["key"], event.get("row", {}))
         elif etype == "done":
             record.status = event.get("status", "done")
         elif etype == "cancel":

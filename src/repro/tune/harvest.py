@@ -46,16 +46,10 @@ __all__ = [
 
 def job_ops(spec, steps_per_hour: int = 5) -> float:
     """Total §4 abstract ops of a job's estimated workload trace."""
-    from repro.perfmodel.estimate import estimated_trace
-    from repro.sched.costmodel import _dataset_shape
+    from repro.sched.costmodel import episode_trace
 
-    trace = estimated_trace(
-        _dataset_shape(spec.dataset),
-        hours=spec.hours,
-        start_hour=spec.start_hour,
-        steps_per_hour=steps_per_hour,
-        dataset_name=spec.dataset,
-    )
+    trace = episode_trace(spec.dataset, spec.hours, spec.start_hour,
+                          steps_per_hour)
     return float(sum(trace.total_ops_by_phase().values()))
 
 

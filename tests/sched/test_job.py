@@ -1,7 +1,11 @@
 """JobSpec content hashing and JobResult bookkeeping."""
 
+from dataclasses import replace
+from unittest import mock
+
 import pytest
 
+import repro.sched.job as job_mod
 from repro.sched import JobResult, JobSpec
 
 
@@ -43,6 +47,35 @@ class TestKey:
         spec = JobSpec(dataset="ne", hours=4, perturb_seed=3,
                        perturb_sigma=0.2, tag="x")
         assert JobSpec.from_dict(spec.to_dict()) == spec
+
+
+class TestKeysAreDerivedOncePerInstance:
+    def test_repeated_reads_hash_once(self):
+        spec = JobSpec(dataset="la", hours=2, perturb_seed=1,
+                       perturb_sigma=0.1)
+        with mock.patch.object(job_mod, "_digest",
+                               wraps=job_mod._digest) as digest:
+            first = (spec.key, spec.science_key, spec.ensemble_key)
+            for _ in range(5):
+                assert (spec.key, spec.science_key,
+                        spec.ensemble_key) == first
+        assert digest.call_count == 3
+
+    def test_replace_yields_an_instance_that_rederives(self):
+        spec = JobSpec(dataset="la", hours=2, nprocs=16)
+        key = spec.key  # derived, and held by ``spec`` from here on
+        assert replace(spec, nprocs=32).key != key
+        assert replace(spec, nprocs=32).science_key == spec.science_key
+        assert replace(spec, hours=3).science_key != spec.science_key
+        assert replace(spec, tag="another label").key == key
+        assert replace(spec, cores_per_job=4).key == key
+
+    def test_derived_keys_are_not_part_of_the_value(self):
+        a, b = JobSpec(dataset="la"), JobSpec(dataset="la")
+        a.key, a.science_key  # noqa: B018 - derive on one side only
+        assert a == b and hash(a) == hash(b)
+        assert a.to_dict() == b.to_dict()
+        assert "key" not in a.to_dict()
 
 
 class TestValidation:

@@ -1,5 +1,12 @@
 """Dedupe, science chaining and LPT packing."""
 
+from dataclasses import replace
+from unittest import mock
+
+import pytest
+
+import repro.sched.costmodel as costmodel_mod
+from repro.perfmodel.predict import PerformancePredictor
 from repro.sched import (
     CampaignCostModel,
     JobSpec,
@@ -7,6 +14,7 @@ from repro.sched import (
     machine_grid,
     plan_campaign,
 )
+from repro.vm.machine import get_machine
 
 
 def test_empty_campaign_plans_to_nothing():
@@ -104,9 +112,55 @@ def test_cached_science_waives_its_charge(tmp_path):
     assert waived.wall_s < charged.wall_s
 
 
-def test_predicted_for_unknown_key_raises():
-    import pytest
+class TestPricesAreKeyedByValue:
+    """Traces and Section-4 totals are derived once per process; a model
+    that differs in any pricing input must still read its own price."""
 
+    SPEC = JobSpec(dataset="demo", hours=1, machine="t3e", nprocs=16,
+                   cores_per_job=4)
+
+    def test_calibrated_machine_profile(self):
+        default = CampaignCostModel().predict(self.SPEC)
+        slow = replace(get_machine("t3e"),
+                       seconds_per_op=2 * get_machine("t3e").seconds_per_op)
+        tuned = CampaignCostModel(machine_overrides={"t3e": slow})
+        assert tuned.predict(self.SPEC).sim_s > default.sim_s
+        assert tuned.predict(self.SPEC).science_s == default.science_s
+        assert CampaignCostModel().predict(self.SPEC) == default
+
+    def test_refit_host_rate(self):
+        default = CampaignCostModel()
+        fast = CampaignCostModel(ops_per_second=2 * default.ops_per_second)
+        assert fast.science_seconds(self.SPEC) == pytest.approx(
+            default.science_seconds(self.SPEC) / 2)
+        assert fast.predict(self.SPEC).sim_s == default.predict(
+            self.SPEC).sim_s
+
+    def test_tile_fraction(self):
+        default = CampaignCostModel().science_seconds(self.SPEC)
+        serial = CampaignCostModel(tile_fraction=0.0)
+        assert serial.science_seconds(self.SPEC) > default
+        assert CampaignCostModel().science_seconds(self.SPEC) == default
+
+    def test_steps_per_hour(self):
+        default = CampaignCostModel().predict(self.SPEC)
+        finer = CampaignCostModel(steps_per_hour=10).predict(self.SPEC)
+        assert finer.science_s > default.science_s
+        assert finer.replay_s > default.replay_s
+
+    def test_a_second_model_builds_nothing(self):
+        first = CampaignCostModel().predict(self.SPEC)
+        with mock.patch.object(
+                costmodel_mod, "estimated_trace",
+                wraps=costmodel_mod.estimated_trace) as build, \
+            mock.patch.object(
+                PerformancePredictor, "predict_total", autospec=True,
+                side_effect=PerformancePredictor.predict_total) as total:
+            assert CampaignCostModel().predict(self.SPEC) == first
+        assert build.call_count == total.call_count == 0
+
+
+def test_predicted_for_unknown_key_raises():
     plan = plan_campaign([JobSpec(dataset="demo", hours=1)], workers=1)
     with pytest.raises(KeyError):
         plan.predicted_for("no-such-key")

@@ -88,6 +88,27 @@ class TestServiceState:
         assert record.n_done == 1
         assert [s.hours for s in record.pending_specs()] == [2]
 
+    def test_duplicates_count_once_and_pending_follows_deliveries(self):
+        a, b = JobSpec(dataset="demo", hours=1), JobSpec(dataset="demo",
+                                                         hours=2)
+        event = _submit_event()
+        event["specs"] = [s.to_dict() for s in (a, b, a, b, a)]
+        state = ServiceState()
+        state.apply(event)
+        record = state.campaigns["c000001"]
+        assert record.n_jobs == record.summary()["n_jobs"] == 2
+        assert record.pending_specs() == [a, b]  # submission order
+        record.deliver(b.key, {"status": "ok"})
+        assert record.pending_specs() == [a]
+        record.deliver(b.key, {"status": "cached"})  # a redelivery
+        record.deliver("not-a-submitted-key", {"status": "ok"})
+        assert record.pending_specs() == [a] and record.n_jobs == 2
+        record.deliver(a.key, {"status": "ok"})
+        assert record.pending_specs() == []
+        # a refold of the same history starts where this one stands
+        refolded = ServiceState.fold(iter(state.to_events()))
+        assert refolded.campaigns["c000001"].pending_specs() == []
+
     def test_cancel_is_terminal(self):
         state = ServiceState()
         state.apply(_submit_event())
