@@ -34,7 +34,11 @@ from repro.vm.transferbatch import TransferBatch
 __all__ = ["RedistributionPlan", "plan_redistribution"]
 
 #: Module-level plan cache; plans are pure functions of the layouts.
+#: Cleared wholesale past the bound, like the layout cache beside it: a
+#: resident daemon would otherwise keep every all-gather it ever planned
+#: (128^2 transfers in three int64 arrays at P=128).
 _PLAN_CACHE: Dict[Tuple[ArrayLayout, ArrayLayout, int], "RedistributionPlan"] = {}
+_PLAN_CACHE_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,8 @@ def plan_redistribution(
         itemsize=int(itemsize),
         batch=_build_batch(source, target, int(itemsize)),
     )
+    if len(_PLAN_CACHE) >= _PLAN_CACHE_MAX:
+        _PLAN_CACHE.clear()
     _PLAN_CACHE[key] = plan
     return plan
 

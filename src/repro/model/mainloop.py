@@ -32,7 +32,7 @@ with a final ``D_Trans -> D_Repl`` gather before ``outputhour``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -188,8 +188,10 @@ def task_mapping(nprocs: int, io_nodes: int, extra_nodes: int = 0) -> List[int]:
 # ---------------------------------------------------------------------------
 #: Gather batches keyed by (layout, itemsize); layouts are themselves
 #: cached and immutable, so the batch is a pure function of the key.
-#: ``None`` marks an empty gather.
-_GATHER_BATCH_CACHE: Dict[tuple, Optional["TransferBatch"]] = {}
+#: Cleared wholesale past the bound, like the layout cache its keys
+#: come from.
+_GATHER_BATCH_CACHE: Dict[tuple, TransferBatch] = {}
+_GATHER_BATCH_CACHE_MAX = 4096
 
 
 def charge_output_gather(array: DistributedArray) -> None:
@@ -206,19 +208,19 @@ def charge_output_gather(array: DistributedArray) -> None:
     if layout.is_replicated:
         return  # the I/O node already holds everything
     key = (layout, array.itemsize)
-    if key not in _GATHER_BATCH_CACHE:
+    batch = _GATHER_BATCH_CACHE.get(key)
+    if batch is None:
         sizes = np.array(
             [layout.local_nbytes(rank, array.itemsize)
              for rank in range(array.group.size)],
             dtype=np.int64,
         )
         src = np.flatnonzero(sizes)
-        _GATHER_BATCH_CACHE[key] = (
-            TransferBatch(src, np.zeros(src.size, dtype=np.int64), sizes[src])
-            if src.size else None
-        )
-    batch = _GATHER_BATCH_CACHE[key]
-    if batch is not None:
+        batch = TransferBatch(src, np.zeros(src.size, dtype=np.int64), sizes[src])
+        if len(_GATHER_BATCH_CACHE) >= _GATHER_BATCH_CACHE_MAX:
+            _GATHER_BATCH_CACHE.clear()
+        _GATHER_BATCH_CACHE[key] = batch
+    if len(batch):  # an array nobody owns a block of gathers nothing
         array.group.charge_communication("gather:outputhour", batch)
 
 
@@ -266,10 +268,10 @@ class HourReplayer:
         if segs is None:
             segs = [self.array.local_indices(r) for r in range(self.group.size)]
             self._seg_cache[layout] = segs
-        ops_by_rank = {}
-        for rank, idx in enumerate(segs):
-            ops_by_rank[rank] = float(ops_per_index[idx].sum()) if idx.size else 0.0
-        self.group.charge_compute(name, ops_by_rank)
+        self.group.charge_compute_column(name, [
+            float(ops_per_index[idx].sum()) if idx.size else 0.0
+            for idx in segs
+        ])
 
     def run_hour(self, hour: HourTrace, gather: bool = True) -> None:
         """Replay the compute/communication phases of one hour.

@@ -5,7 +5,9 @@ The tracer is the observability substrate every layer emits into:
 * the :class:`~repro.vm.cluster.Cluster` emits one **node span** per
   participating node per phase, with the node's exact busy interval —
   this is the profiler-grade record the paper's phase-by-phase
-  measurements correspond to;
+  measurements correspond to.  A phase hands its nodes over as columns
+  (:meth:`Tracer.emit_many`); the tracer keeps them as one block and
+  builds the :class:`Span` objects when :attr:`Tracer.spans` is read;
 * the Fx runtime and the model drivers open **region spans**
   (``hour:06``, ``step:3``, pipeline stages) with the context-manager
   API, so the node spans nest under the program structure;
@@ -36,6 +38,8 @@ import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 from repro.observe.counters import CounterSet
 
@@ -87,11 +91,37 @@ class Span:
         return self.duration if self.busy is None else self.busy
 
 
+def _column(values, n: int) -> list:
+    """A block column as ``n`` Python values (a scalar is shared)."""
+    if isinstance(values, np.ndarray):
+        return values.tolist()
+    if isinstance(values, (list, tuple)):
+        return values
+    return [values] * n
+
+
+def _block_spans(block: tuple) -> List[Span]:
+    """The node spans of one :meth:`Tracer.emit_many` block, in order."""
+    name, kind, starts, ends, nodes, busys, attrs, sid, parent = block
+    n = len(nodes)
+    starts, ends, busys = _column(starts, n), _column(ends, n), _column(busys, n)
+    attrs = [(key, _column(col, n)) for key, col in attrs.items()]
+    return [
+        Span(name, kind, starts[j], ends[j], nodes[j], busys[j], sid + j,
+             parent, {key: col[j] for key, col in attrs})
+        for j in range(n)
+    ]
+
+
 class Tracer:
     """Collects spans and counters for one run."""
 
     def __init__(self, clock: Optional[Callable[[], float]] = None) -> None:
-        self.spans: List[Span] = []
+        self._spans: List[Span] = []
+        #: What was emitted since :attr:`spans` was last read, in
+        #: emission order: ``emit_many`` blocks (tuples), and the spans
+        #: ``emit``/``span`` built after the first of them.
+        self._pending: list = []
         self.counters = CounterSet()
         #: Wall seconds per (kind, name) phase, counted once per phase.
         self.phase_totals: Dict[Tuple[str, str], float] = {}
@@ -125,6 +155,27 @@ class Tracer:
         self._next_id += 1
         return sid
 
+    @property
+    def spans(self) -> List[Span]:
+        """Every span of the run, in emission order — the one read API.
+
+        Always the same list object.  Blocks recorded by
+        :meth:`emit_many` become :class:`Span` objects here, once, with
+        the ids they reserved at emission; spans built by :meth:`emit`
+        and :meth:`span` are the very objects those calls returned.
+        """
+        if self._pending:
+            pending, self._pending = self._pending, []
+            for item in pending:
+                if isinstance(item, tuple):
+                    self._spans.extend(_block_spans(item))
+                else:
+                    self._spans.append(item)
+        return self._spans
+
+    def _record(self, span: Span) -> None:
+        (self._pending if self._pending else self._spans).append(span)
+
     def emit(
         self,
         name: str,
@@ -150,7 +201,7 @@ class Tracer:
             parent_id=parent.span_id if parent else None,
             attrs=attrs,
         )
-        self.spans.append(span)
+        self._record(span)
         return span
 
     def emit_many(
@@ -162,48 +213,57 @@ class Tracer:
         nodes,
         busys,
         ops=None,
+        **attrs,
     ) -> None:
         """Record one complete span per node in a single call.
 
         Semantically identical to calling :meth:`emit` once per node in
-        order (same span ids, same parenting), but the per-call overhead
-        — parent lookup, keyword plumbing, float coercion — is paid once
-        per *phase* instead of once per *node*, which is what the
-        replay's charging loops need (one span per node per phase is the
-        tracing contract, and P=64 phases emit thousands of them).
+        order (same span ids, same parenting, same values), but the
+        phase is *stored* as one block of columns; the per-node
+        :class:`Span` objects are built when :attr:`spans` is read.  A
+        replay nobody inspects therefore pays per phase, not per node
+        (P=64 phases emit thousands of node spans).
 
-        ``starts``/``ends`` may be scalars (a collective's shared
-        interval) or per-node sequences; ``busys`` is per-node; ``ops``,
-        when given, attaches ``attrs={"ops": ...}`` per node.
+        ``starts``/``ends``/``busys`` may each be a scalar (a
+        collective's shared interval) or a per-node list, tuple or
+        array; ``ops`` and any further keyword column attach
+        ``attrs={"ops": ...}`` per node.  The columns are kept by
+        reference: hand over arrays nothing will write to again.
+
+        All or nothing: a column of the wrong length or an ``end``
+        before its ``start`` raises ``ValueError`` before anything is
+        recorded or any span id is consumed.
         """
         n = len(nodes)
-        if not isinstance(starts, (list, tuple)):
-            starts = [float(starts)] * n
-        if not isinstance(ends, (list, tuple)):
-            ends = [float(ends)] * n
-        parent = self._stack[-1].span_id if self._stack else None
-        sid = self._next_id
-        append = self.spans.append
-        for j in range(n):
-            start = starts[j]
-            end = ends[j]
-            if end < start:
+        if ops is not None:
+            attrs = {"ops": ops, **attrs}
+        starts, ends, busys = (
+            col if hasattr(col, "__len__") else float(col)
+            for col in (starts, ends, busys)
+        )
+        for label, col in (("starts", starts), ("ends", ends),
+                           ("busys", busys), *attrs.items()):
+            if hasattr(col, "__len__") and len(col) != n:
                 raise ValueError(
-                    f"span {name!r}: end {end} before start {start}"
+                    f"span {name!r}: {label} has {len(col)} entries "
+                    f"for {n} nodes"
                 )
-            append(Span(
-                name=name,
-                kind=kind,
-                start=start,
-                end=end,
-                node=nodes[j],
-                busy=busys[j],
-                span_id=sid,
-                parent_id=parent,
-                attrs={} if ops is None else {"ops": ops[j]},
-            ))
-            sid += 1
-        self._next_id = sid
+        if isinstance(starts, float) and isinstance(ends, float):
+            early = 0 if ends < starts else None
+        else:
+            before = np.less(ends, starts)
+            early = int(np.argmax(before)) if before.any() else None
+        if early is not None:
+            raise ValueError(
+                f"span {name!r}: end {_column(ends, n)[early]} "
+                f"before start {_column(starts, n)[early]}"
+            )
+        parent = self._stack[-1].span_id if self._stack else None
+        self._pending.append(
+            (name, kind, starts, ends, nodes, busys, attrs,
+             self._next_id, parent)
+        )
+        self._next_id += n
 
     @contextmanager
     def span(
@@ -233,7 +293,7 @@ class Tracer:
             attrs=attrs,
         )
         span.end = span.start
-        self.spans.append(span)
+        self._record(span)
         self._stack.append(span)
         try:
             yield span

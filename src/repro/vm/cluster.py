@@ -5,7 +5,9 @@ plus a :class:`~repro.vm.machine.MachineSpec` that prices work.  The
 application (via the Fx runtime) *executes real numpy computation* and
 reports deterministic work/traffic counts; the cluster converts those
 counts into simulated seconds using the paper's cost model and maintains
-per-node clocks.
+per-node clocks — one float64 array, read and advanced a whole group at
+a time with the same IEEE-754 operation per element a per-node loop
+would perform.
 
 Timing semantics
 ----------------
@@ -34,7 +36,7 @@ import numpy as np
 from repro.observe.tracer import Tracer
 from repro.vm.machine import MachineSpec
 from repro.vm.node import VirtualNode
-from repro.vm.traffic import NodeTraffic, PhaseRecord, Timeline
+from repro.vm.traffic import NodeColumn, NodeTraffic, PhaseRecord, Timeline
 from repro.vm.transferbatch import TransferBatch
 
 __all__ = ["Transfer", "Cluster", "Subgroup"]
@@ -73,44 +75,65 @@ class Cluster:
             raise ValueError("need at least one node")
         self.machine = machine
         self.nprocs = int(nprocs)
-        self.nodes: List[VirtualNode] = [VirtualNode(i) for i in range(nprocs)]
+        #: Every node's clock (simulated seconds), indexed by node id.
+        #: Phases read and advance whole groups of it at once.
+        self.clocks = np.zeros(self.nprocs)
+        self.nodes: List[VirtualNode] = [
+            VirtualNode(i, self.clocks) for i in range(nprocs)
+        ]
         self.timeline = Timeline()
         #: Span/counter stream mirroring the timeline at per-node
         #: resolution; pass a Tracer to collect region spans too.
         self.tracer = tracer if tracer is not None else Tracer()
         self.tracer.set_clock(self.time)
-        #: Validated node-id tuples (subgroups charge with the same
-        #: tuple object thousands of times; re-sorting it each phase
-        #: shows up in replay profiles).
-        self._checked_groups: set = set()
+        #: Validated groups: sorted id tuple -> (that tuple, its index
+        #: array into ``clocks``).  Subgroups charge with the same tuple
+        #: object thousands of times; re-sorting it each phase shows up
+        #: in replay profiles.
+        self._groups: Dict[Tuple[int, ...], Tuple[Tuple[int, ...], np.ndarray]] = {}
+        self._all = self._check_ids(range(self.nprocs))
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def clock(self, node_id: int) -> float:
-        return self.nodes[node_id].clock
+        return float(self.clocks[node_id])
 
     def time(self, node_ids: Optional[Iterable[int]] = None) -> float:
         """Simulated time: max clock over the given nodes (default: all)."""
-        ids = range(self.nprocs) if node_ids is None else node_ids
-        return max((self.nodes[i].clock for i in ids), default=0.0)
+        if node_ids is None:
+            return float(self.clocks.max())
+        return float(self.clocks[self._check_ids(node_ids)[1]].max())
 
     def all_node_ids(self) -> Tuple[int, ...]:
-        return tuple(range(self.nprocs))
+        return self._all[0]
 
     def subgroup(self, node_ids: Sequence[int]) -> "Subgroup":
         return Subgroup(self, node_ids)
 
-    def _check_ids(self, node_ids: Iterable[int]) -> Tuple[int, ...]:
-        if isinstance(node_ids, tuple) and node_ids in self._checked_groups:
-            return node_ids
+    def _check_ids(
+        self, node_ids: Iterable[int]
+    ) -> Tuple[Tuple[int, ...], np.ndarray]:
+        """The validated group: ``(sorted id tuple, index array)``."""
+        if isinstance(node_ids, tuple):
+            group = self._groups.get(node_ids)
+            if group is not None:
+                return group
         ids = tuple(sorted(set(int(i) for i in node_ids)))
         if not ids:
             raise ValueError("empty node group")
         if ids[0] < 0 or ids[-1] >= self.nprocs:
             raise ValueError(f"node ids {ids} out of range for P={self.nprocs}")
-        self._checked_groups.add(ids)
-        return ids
+        group = self._groups.get(ids)
+        if group is None:
+            idx = np.array(ids, dtype=np.int64)
+            idx.setflags(write=False)
+            group = self._groups[ids] = (ids, idx)
+        return group
+
+    def _sync(self, idx: np.ndarray, when: float) -> None:
+        """Move the group's clocks forward to ``when`` (never back)."""
+        self.clocks[idx] = np.maximum(self.clocks[idx], when)
 
     # ------------------------------------------------------------------
     # phases
@@ -118,35 +141,47 @@ class Cluster:
     def charge_compute(self, name: str, ops_by_node: Mapping[int, float]) -> PhaseRecord:
         """Advance each node independently by the cost of its own ops.
 
+        The mapping form of :meth:`charge_compute_column`.
+        """
+        ids, _ = self._check_ids(ops_by_node.keys())
+        ops = np.fromiter(
+            (ops_by_node[i] for i in ids), np.float64, count=len(ids)
+        )
+        return self.charge_compute_column(name, ops, ids)
+
+    def charge_compute_column(
+        self, name: str, ops, node_ids: Optional[Sequence[int]] = None
+    ) -> PhaseRecord:
+        """Charge a column of op counts, one per node of the sorted group.
+
         The per-node costs are priced in one vectorised pass
         (``ops * seconds_per_op`` elementwise is the exact scalar
-        arithmetic of :meth:`MachineSpec.compute_cost` per node, so the
-        clocks advance by bit-identical amounts).
+        arithmetic of :meth:`MachineSpec.compute_cost` per node, and
+        ``before + cost`` the exact clock advance, so the clocks move by
+        bit-identical amounts).  ``node_ids`` defaults to every node.
         """
-        ids = self._check_ids(ops_by_node.keys())
-        n = len(ids)
-        ops = np.fromiter((ops_by_node[i] for i in ids), np.float64, count=n)
-        if n and ops.min() < 0:
+        ids, idx = self._all if node_ids is None else self._check_ids(node_ids)
+        ops = np.array(ops, dtype=np.float64)
+        if ops.shape != (len(ids),):
+            raise ValueError(
+                f"{name}: ops has shape {ops.shape} for {len(ids)} nodes"
+            )
+        if ops.min() < 0:
             raise ValueError("ops must be non-negative")
         costs = ops * self.machine.seconds_per_op
-        nodes = self.nodes
-        before = np.fromiter((nodes[i].clock for i in ids), np.float64, count=n)
+        before = self.clocks[idx]
         after = before + costs
-        after_list = after.tolist()
-        for i, clk in zip(ids, after_list):
-            nodes[i].clock = clk
-        ops_list = ops.tolist()
+        self.clocks[idx] = after
         self.tracer.emit_many(
-            name, "compute", before.tolist(), after_list, ids,
-            busys=costs.tolist(), ops=ops_list,
+            name, "compute", before, after, ids, busys=costs, ops=ops,
         )
         record = PhaseRecord(
             name=name,
             kind="compute",
-            start=float(before.max()) if n else 0.0,
-            end=float(after.max()) if n else 0.0,
+            start=float(before.max()),
+            end=float(after.max()),
             node_ids=ids,
-            ops=dict(zip(ids, ops_list)),
+            ops=NodeColumn(ids, ops),
         )
         self.timeline.append(record)
         self.tracer.observe_phase(name, "compute", record.duration)
@@ -159,8 +194,8 @@ class Cluster:
         Used for the aerosol step, which the paper replicates because it
         cannot be parallelised.
         """
-        ids = self.all_node_ids() if node_ids is None else self._check_ids(node_ids)
-        return self.charge_compute(name, {i: ops for i in ids})
+        ids, _ = self._all if node_ids is None else self._check_ids(node_ids)
+        return self.charge_compute_column(name, np.full(len(ids), ops), ids)
 
     def charge_communication(
         self,
@@ -174,20 +209,20 @@ class Cluster:
         or a :class:`~repro.vm.transferbatch.TransferBatch`; the batched
         form aggregates per-node totals with ``np.bincount`` instead of
         walking Python records (the all-gather steps have O(P^2)
-        transfers) and prices identically.
+        transfers), reads its cost column from the batch's memo, and
+        prices identically.
 
         ``node_ids`` defaults to every node mentioned in ``transfers``;
         pass an explicit group to synchronise bystanders that exchange
         nothing (e.g. nodes holding no data in a skinny distribution).
         """
+        batched = isinstance(transfers, TransferBatch)
         traffic_total: Optional[NodeTraffic] = None
-        if isinstance(transfers, TransferBatch):
-            _, shared_traffic, traffic_total = transfers._aggregate()
+        if batched:
+            mentioned, shared_traffic, traffic_total = transfers._aggregate()
             traffic = dict(shared_traffic)
-            part_costs = transfers.node_costs(self.machine)
         else:
             traffic = {}
-            part_costs = None
 
             def rec(i: int) -> NodeTraffic:
                 return traffic.setdefault(i, NodeTraffic())
@@ -201,44 +236,41 @@ class Cluster:
                 s.bytes_sent += t.nbytes
                 d.messages_received += t.messages
                 d.bytes_received += t.nbytes
+            mentioned = traffic.keys()
 
-        if node_ids is None:
-            ids = self._check_ids(traffic.keys()) if traffic else self.all_node_ids()
+        if node_ids is not None:
+            ids, idx = self._check_ids(node_ids)
+        elif traffic:
+            ids, idx = self._check_ids(mentioned)
         else:
-            ids = self._check_ids(node_ids)
+            ids, idx = self._all
+
+        # Each node's own Ct_i as a column over the group (members
+        # exchanging nothing price to comm_cost(0, 0, 0) == 0.0); an
+        # endpoint outside the group is an error either way.
+        if batched:
+            costs, cost = transfers.cost_column(self.machine, ids)
+        else:
+            members = set(ids)
             for i in traffic:
-                if i not in ids:
+                if i not in members:
                     raise ValueError(f"transfer endpoint {i} outside group {ids}")
-
-        start = self.time(ids)
-        if part_costs is not None:
-            # Batched path: costs were priced vectorised (and cached on
-            # the batch); bystanders outside the traffic map price to
-            # exactly comm_cost(0, 0, 0) == 0.0.
-            costs = {i: part_costs.get(i, 0.0) for i in ids}
-        else:
-            costs: Dict[int, float] = {}
-            for i in ids:
-                t = traffic.get(i, NodeTraffic())
-                costs[i] = self.machine.comm_cost(
-                    t.messages, t.bytes_moved, t.bytes_copied
-                )
-        cost = max(costs.values())
+            idle = NodeTraffic()
+            costs = np.array([
+                self.machine.comm_cost(t.messages, t.bytes_moved, t.bytes_copied)
+                for t in (traffic.get(i, idle) for i in ids)
+            ])
+            cost = float(costs.max())
+        start = float(self.clocks[idx].max())
         end = start + cost
-        nodes = self.nodes
-        for i in ids:
-            node = nodes[i]
-            if end > node.clock:
-                node.clock = end
-        self.tracer.emit_many(
-            name, "comm", start, end, ids, busys=list(costs.values()),
-        )
+        self._sync(idx, end)
+        self.tracer.emit_many(name, "comm", start, end, ids, busys=costs)
         record = PhaseRecord(
             name=name, kind="comm", start=start, end=end, node_ids=ids,
             traffic=traffic,
             # For communication records, ops holds each node's busy
             # seconds (its own Ct_i); the phase is paced by the max.
-            ops=costs,
+            ops=NodeColumn(ids, costs),
         )
         self.timeline.append(record)
         self.tracer.observe_phase(
@@ -261,29 +293,29 @@ class Cluster:
         completes (the behaviour of the pure data-parallel Airshed, where
         every node sits idle during ``inputhour``/``outputhour``).
         """
-        (nid,) = self._check_ids([node_id])
-        start = self.nodes[nid].clock
+        ids, _ = self._check_ids([node_id])
+        (nid,) = ids
+        node = self.nodes[nid]
+        start = node.clock
         cost = self.machine.io_cost(nbytes, ops)
-        self.nodes[nid].advance(cost)
-        self.tracer.emit(
-            name, "io", start, start + cost, node=nid, busy=cost,
+        node.advance(cost)
+        self.tracer.emit_many(
+            name, "io", start, start + cost, ids, busys=cost,
             nbytes=float(nbytes),
         )
-        ids: Tuple[int, ...] = (nid,)
+        end = node.clock
         if blocking_group is not None:
-            ids = self._check_ids(set(blocking_group) | {nid})
-            end = max(self.time(ids), self.nodes[nid].clock)
-            for i in ids:
-                self.nodes[i].sync_to(end)
+            ids, _ = self._check_ids(set(blocking_group) | {nid})
+            end = self.barrier(ids)
         record = PhaseRecord(
             name=name,
             kind="io",
             start=start,
-            end=self.time(ids),
+            end=end,
             node_ids=ids,
             # For I/O records, ops holds the I/O node's busy seconds
             # (the phase duration can exceed it when the group waits).
-            ops={nid: cost},
+            ops=NodeColumn((nid,), np.array([cost])),
         )
         self.timeline.append(record)
         self.tracer.observe_phase(name, "io", record.duration)
@@ -291,10 +323,9 @@ class Cluster:
 
     def barrier(self, node_ids: Optional[Sequence[int]] = None) -> float:
         """Synchronise a group: everyone's clock moves to the group max."""
-        ids = self.all_node_ids() if node_ids is None else self._check_ids(node_ids)
-        when = self.time(ids)
-        for i in ids:
-            self.nodes[i].sync_to(when)
+        ids, idx = self._all if node_ids is None else self._check_ids(node_ids)
+        when = float(self.clocks[idx].max())
+        self._sync(idx, when)
         return when
 
 
@@ -303,12 +334,12 @@ class Subgroup:
 
     Subgroups are how Fx expresses task parallelism: independent tasks
     are placed on disjoint subgroups whose clocks advance independently.
+    Rank ``r`` of the subgroup is node ``node_ids[r]`` (ids ascending).
     """
 
     def __init__(self, cluster: Cluster, node_ids: Sequence[int]) -> None:
         self.cluster = cluster
-        self.node_ids = cluster._check_ids(node_ids)
-        self._node_id_map = np.asarray(self.node_ids, dtype=np.int64)
+        self.node_ids, self._idx = cluster._check_ids(node_ids)
 
     @property
     def size(self) -> int:
@@ -330,13 +361,16 @@ class Subgroup:
         Models a blocking dependency on work done elsewhere (e.g. a
         pipeline stage waiting for its upstream item).
         """
-        for i in self.node_ids:
-            self.cluster.nodes[i].sync_to(when)
+        self.cluster._sync(self._idx, when)
 
     def charge_compute(self, name: str, ops_by_rank: Mapping[int, float]) -> PhaseRecord:
         """Charge compute with *ranks local to the subgroup* (0..size-1)."""
         mapped = {self.node_ids[r]: ops for r, ops in ops_by_rank.items()}
         return self.cluster.charge_compute(name, mapped)
+
+    def charge_compute_column(self, name: str, ops) -> PhaseRecord:
+        """Charge a column of op counts, one per rank in rank order."""
+        return self.cluster.charge_compute_column(name, ops, self.node_ids)
 
     def charge_replicated_compute(self, name: str, ops: float) -> PhaseRecord:
         return self.cluster.charge_replicated_compute(name, ops, self.node_ids)
@@ -344,7 +378,7 @@ class Subgroup:
     def charge_communication(self, name: str, transfers: Transfers) -> PhaseRecord:
         """Charge communication with subgroup-local ranks in transfers."""
         if isinstance(transfers, TransferBatch):
-            mapped: Transfers = transfers.remap(self._node_id_map)
+            mapped: Transfers = transfers.remap(self._idx)
         else:
             mapped = [
                 Transfer(self.node_ids[t.src], self.node_ids[t.dst],

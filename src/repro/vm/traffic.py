@@ -14,10 +14,13 @@ runtime generated.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-__all__ = ["NodeTraffic", "PhaseRecord", "Timeline"]
+import numpy as np
+
+__all__ = ["NodeTraffic", "NodeColumn", "PhaseRecord", "Timeline"]
 
 
 @dataclass
@@ -54,6 +57,39 @@ class NodeTraffic:
         return max(self.bytes_sent, self.bytes_received)
 
 
+class NodeColumn(Mapping):
+    """Read-only ``node id -> value`` view over an id tuple and a column.
+
+    A phase keeps its per-node data as the column the cluster computed;
+    the dict is built the first time somebody looks a node up, and
+    compares equal to a plain ``dict`` of the same items.
+    """
+
+    __slots__ = ("node_ids", "column", "_items")
+
+    def __init__(self, node_ids: Tuple[int, ...], column: np.ndarray) -> None:
+        self.node_ids = node_ids
+        self.column = column
+        self._items: Optional[Dict[int, float]] = None
+
+    def _dict(self) -> Dict[int, float]:
+        if self._items is None:
+            self._items = dict(zip(self.node_ids, self.column.tolist()))
+        return self._items
+
+    def __getitem__(self, node_id: int) -> float:
+        return self._dict()[node_id]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.node_ids)
+
+    def __len__(self) -> int:
+        return len(self.node_ids)
+
+    def __repr__(self) -> str:
+        return f"NodeColumn({self._dict()!r})"
+
+
 @dataclass
 class PhaseRecord:
     """One timed phase on the cluster.
@@ -74,7 +110,8 @@ class PhaseRecord:
     traffic:
         Per-node traffic (communication phases only).
     ops:
-        Per-node phase data, keyed by node id.  For **compute** phases:
+        Per-node phase data, keyed by node id (a :class:`NodeColumn`
+        on records the cluster builds).  For **compute** phases:
         op counts.  For **comm** phases: each node's busy seconds (its
         own ``Ct_i``; the phase duration is the maximum).  For **io**
         phases: the I/O node's busy seconds (the duration can be longer
@@ -87,7 +124,7 @@ class PhaseRecord:
     end: float
     node_ids: Tuple[int, ...]
     traffic: Dict[int, NodeTraffic] = field(default_factory=dict)
-    ops: Dict[int, float] = field(default_factory=dict)
+    ops: Mapping[int, float] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:

@@ -23,13 +23,19 @@ phase this model prices).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.vm.traffic import NodeTraffic
 
 __all__ = ["TransferBatch"]
+
+#: Priced (machine, group) pairs kept per batch.  Batches live as long
+#: as the module-level plan caches that hold them, and an autotuned
+#: service prices one batch under many calibrated machines; past the cap
+#: the memo is cleared wholesale, like the layout cache.
+_COST_MEMO_MAX = 8
 
 
 def _as_locked_int_array(values, name: str) -> np.ndarray:
@@ -65,10 +71,12 @@ class TransferBatch:
             None if messages is None else _as_locked_int_array(messages, "messages")
         )
         # Lazy caches (the arrays are immutable, so aggregations are
-        # pure): per-node traffic, remapped views, per-machine costs.
+        # pure): per-node traffic, remapped views, and cost columns
+        # keyed by (machine, group) *value* — filling any of them from
+        # two threads at once stores equal values twice.
         self._agg = None
         self._remaps: Dict[bytes, "TransferBatch"] = {}
-        self._costs = None
+        self._costs: Dict[tuple, Tuple[np.ndarray, float]] = {}
         n = len(self.src)
         for name in ("dst", "nbytes", "messages"):
             arr = getattr(self, name)
@@ -153,7 +161,7 @@ class TransferBatch:
         out.messages = self.messages
         out._agg = None
         out._remaps = {}
-        out._costs = None
+        out._costs = {}
         self._remaps[key] = out
         return out
 
@@ -231,37 +239,66 @@ class TransferBatch:
         _, traffic, _ = self._aggregate()
         return dict(traffic)
 
-    def node_costs(self, machine) -> Dict[int, float]:
-        """Per-participant communication cost on ``machine``.
+    def _participant_costs(self, machine) -> np.ndarray:
+        """``Ct_i`` on ``machine`` per participant, in participant order.
 
         Evaluates the paper's ``Ct_i = L*m_i + G*b_i + H*c_i`` for every
         participant in one vectorised pass.  The per-node arithmetic is
         the exact scalar sequence of
         :meth:`~repro.vm.machine.MachineSpec.comm_cost` applied
         elementwise, so each cost is bitwise identical to pricing the
-        node's :class:`NodeTraffic` individually.  Cached per machine
-        (a replay charges the same batch with one machine throughout).
+        node's :class:`NodeTraffic` individually.
         """
-        if self._costs is not None and self._costs[0] is machine:
-            return self._costs[1]
         parts, traffic, _ = self._aggregate()
-        if not parts:
-            costs: Dict[int, float] = {}
-        else:
-            msgs = np.fromiter(
-                (t.messages_sent + t.messages_received for t in traffic.values()),
-                np.float64, count=len(parts),
+        n = len(parts)
+        msgs = np.fromiter(
+            (t.messages_sent + t.messages_received for t in traffic.values()),
+            np.float64, count=n,
+        )
+        moved = np.fromiter(
+            (max(t.bytes_sent, t.bytes_received) for t in traffic.values()),
+            np.float64, count=n,
+        )
+        copied = np.fromiter(
+            (t.bytes_copied for t in traffic.values()), np.float64, count=n,
+        )
+        return (machine.latency * msgs + machine.gap * moved
+                + machine.copy_cost * copied)
+
+    def node_costs(self, machine) -> Dict[int, float]:
+        """Per-participant communication cost on ``machine``."""
+        parts, _, _ = self._aggregate()
+        return dict(zip(parts, self._participant_costs(machine).tolist()))
+
+    def cost_column(
+        self, machine, node_ids: Tuple[int, ...]
+    ) -> Tuple[np.ndarray, float]:
+        """``(Ct_i per node of the group, their maximum)`` on ``machine``.
+
+        ``node_ids`` is a sorted group that must contain every endpoint
+        of the batch (``ValueError`` otherwise); members exchanging
+        nothing price to exactly ``comm_cost(0, 0, 0) == 0.0``.  The
+        column is read-only and memoised per ``(machine, node_ids)``
+        value, so a replay charging one cached plan every step prices
+        it once, and no machine can read another's costs.
+        """
+        key = (machine, node_ids)
+        hit = self._costs.get(key)
+        if hit is not None:
+            return hit
+        parts, _, _ = self._aggregate()
+        ids = np.asarray(node_ids, dtype=np.int64)
+        parts_arr = np.asarray(parts, dtype=np.int64)
+        outside = parts_arr[~np.isin(parts_arr, ids)]
+        if outside.size:
+            raise ValueError(
+                f"transfer endpoint {int(outside[0])} outside group {node_ids}"
             )
-            moved = np.fromiter(
-                (max(t.bytes_sent, t.bytes_received) for t in traffic.values()),
-                np.float64, count=len(parts),
-            )
-            copied = np.fromiter(
-                (t.bytes_copied for t in traffic.values()),
-                np.float64, count=len(parts),
-            )
-            ct = (machine.latency * msgs + machine.gap * moved
-                  + machine.copy_cost * copied)
-            costs = dict(zip(parts, ct.tolist()))
-        self._costs = (machine, costs)
-        return costs
+        column = np.zeros(ids.size)
+        column[np.searchsorted(ids, parts_arr)] = self._participant_costs(machine)
+        column.setflags(write=False)
+        hit = (column, float(column.max()))
+        if len(self._costs) >= _COST_MEMO_MAX:
+            self._costs.clear()
+        self._costs[key] = hit
+        return hit

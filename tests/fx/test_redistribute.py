@@ -95,6 +95,19 @@ class TestAirshedSteps:
         p2 = plan_redistribution(trans, chem, W)
         assert p1 is p2
 
+    def test_plan_cache_is_bounded(self, monkeypatch):
+        """A resident daemon plans for every P it is ever asked about;
+        the cache is cleared wholesale at its cap, like the layout cache."""
+        from repro.fx import redistribute
+
+        monkeypatch.setattr(redistribute, "_PLAN_CACHE_MAX", 4)
+        redistribute._PLAN_CACHE.clear()
+        for P in range(2, 12):
+            _, trans, chem = layouts(P)
+            plan = plan_redistribution(trans, chem, W)
+            assert len(redistribute._PLAN_CACHE) <= 4
+            assert plan_redistribution(trans, chem, W) is plan
+
 
 class TestValidation:
     def test_shape_mismatch_rejected(self):

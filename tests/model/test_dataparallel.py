@@ -53,6 +53,19 @@ class TestReplay:
         rep = replay_data_parallel(tiny_trace, CRAY_T3E, 4)
         assert rep.comm_steps == tiny_trace.expected_comm_steps()
 
+    def test_gather_batches_are_cached_within_a_bound(self, tiny_trace,
+                                                      monkeypatch):
+        from repro.model import mainloop
+
+        monkeypatch.setattr(mainloop, "_GATHER_BATCH_CACHE_MAX", 2)
+        mainloop._GATHER_BATCH_CACHE.clear()
+        first = [replay_data_parallel(tiny_trace, CRAY_T3E, P).total_time
+                 for P in range(2, 8)]
+        assert 0 < len(mainloop._GATHER_BATCH_CACHE) <= 2
+        again = [replay_data_parallel(tiny_trace, CRAY_T3E, P).total_time
+                 for P in range(2, 8)]
+        assert again == first
+
     def test_single_node_communication_is_copy_only(self, tiny_trace):
         """At P=1 every redistribution degenerates to local copies (the
         paper's H term); there is no network traffic, and the copy cost

@@ -3,8 +3,8 @@
 Everything the service derives from a content key is a pure function of
 that key, so a warm daemon computes it once: these tests count the work
 itself — spec digests, science unpickles and their bytes, estimated
-traces, Section-4 predictions, ``final_conc`` hashes and thread pools —
-and pin it.  The counts are exact and host-independent, which wall time
+traces, Section-4 predictions, ``final_conc`` hashes, thread pools and
+``Span`` objects — and pin it.  The counts are exact and host-independent, which wall time
 on a shared two-core machine is not.
 """
 
@@ -17,6 +17,7 @@ from unittest import mock
 
 import pytest
 
+import repro.observe.tracer as tracer_mod
 import repro.sched.cache as cache_mod
 import repro.sched.costmodel as costmodel_mod
 import repro.sched.job as job_mod
@@ -80,6 +81,8 @@ def counted(conc_nbytes):
 
     with mock.patch.object(job_mod, "_digest",
                            counting("digests", job_mod._digest)), \
+            mock.patch.object(tracer_mod, "Span",
+                              counting("spans", tracer_mod.Span)), \
             mock.patch.object(cache_mod, "pickle", _CountingPickle(work)), \
             mock.patch.object(
                 costmodel_mod, "estimated_trace",
@@ -172,3 +175,6 @@ def test_novel_replays_on_a_warm_science_key_decode_it_once(tmp_path):
     assert decode_counters(svc)[0] == work["science_decodes"]
     assert work["conc_hashes"] <= 1
     assert work["thread_pools"] == 0
+    # A replay nobody reads builds its hour and step regions (at most
+    # 12 here) and no span per node; the runner adds one span per job.
+    assert 48 < work["spans"] <= 48 * 12 + 48

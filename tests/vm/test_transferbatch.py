@@ -1,11 +1,15 @@
 """TransferBatch: batched transfers price identically to the records."""
 
+import sys
+import threading
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.vm.cluster import Cluster, Transfer
-from repro.vm.machine import CRAY_T3E
-from repro.vm.transferbatch import TransferBatch
+from repro.vm.machine import CRAY_T3E, INTEL_PARAGON
+from repro.vm.transferbatch import _COST_MEMO_MAX, TransferBatch
 
 
 def mixed_transfers():
@@ -131,3 +135,88 @@ class TestRemap:
         assert rec_s.traffic == rec_d.traffic
         assert rec_s.ops == rec_d.ops
         assert (rec_s.start, rec_s.end) == (rec_d.start, rec_d.end)
+
+
+class TestCostColumn:
+    """The per-(machine, group) cost memo the batched charge reads."""
+
+    def test_column_prices_each_group_member(self):
+        batch = TransferBatch.from_transfers(mixed_transfers())
+        group = (0, 1, 2, 3, 5)  # node 5 stands by
+        column, peak = batch.cost_column(CRAY_T3E, group)
+        traffic = batch.traffic_by_node()
+        for node, cost in zip(group, column.tolist()):
+            t = traffic.get(node)
+            assert cost == (0.0 if t is None else CRAY_T3E.comm_cost(
+                t.messages, t.bytes_moved, t.bytes_copied))
+        assert peak == max(column.tolist()) and type(peak) is float
+        with pytest.raises(ValueError):
+            column[0] = 1.0  # shared between every phase that reads it
+
+    def test_endpoint_outside_the_group_is_refused_and_not_memoised(self):
+        batch = TransferBatch.from_transfers(mixed_transfers())
+        with pytest.raises(ValueError, match="endpoint 2 outside group"):
+            batch.cost_column(CRAY_T3E, (0, 1, 3))
+        with pytest.raises(ValueError, match="endpoint 3 outside group"):
+            batch.cost_column(CRAY_T3E, (0, 1, 2))
+        assert batch._costs == {}
+
+    def test_memo_is_keyed_by_machine_value(self):
+        batch = TransferBatch.from_transfers(mixed_transfers())
+        group = (0, 1, 2, 3)
+        fast, _ = batch.cost_column(CRAY_T3E, group)
+        slow, _ = batch.cost_column(INTEL_PARAGON, group)
+        assert slow.tolist() != fast.tolist()
+        # Alternating machines (two worker threads, consecutive jobs)
+        # keeps both columns; an equal-valued fresh spec — what an
+        # autotuned wave builds — reads its own machine's entry.
+        assert batch.cost_column(CRAY_T3E, group)[0] is fast
+        assert batch.cost_column(INTEL_PARAGON, group)[0] is slow
+        assert batch.cost_column(replace(CRAY_T3E), group)[0] is fast
+        skewed = CRAY_T3E.scaled(comm_factor=3.0)
+        assert batch.cost_column(skewed, group)[0].tolist() == [
+            skewed.comm_cost(t.messages, t.bytes_moved, t.bytes_copied)
+            for t in batch.traffic_by_node().values()
+        ]
+
+    def test_memo_is_bounded_per_batch(self):
+        batch = TransferBatch.from_transfers(mixed_transfers())
+        group = (0, 1, 2, 3)
+        for k in range(3 * _COST_MEMO_MAX):
+            machine = CRAY_T3E.scaled(comm_factor=1.0 + k)
+            column, _ = batch.cost_column(machine, group)
+            assert column[1] == machine.comm_cost(4, 4096, 0)
+            assert len(batch._costs) <= _COST_MEMO_MAX
+
+    def test_filling_the_memo_from_many_threads_is_harmless(self):
+        """More threads than cores price one batch under more machines
+        than the memo holds, so fills and wholesale clears interleave;
+        every reader must still get its own machine's column."""
+        batch = TransferBatch.from_transfers(mixed_transfers())
+        group = (0, 1, 2, 3)
+        machines = [CRAY_T3E.scaled(comm_factor=1.0 + k)
+                    for k in range(_COST_MEMO_MAX + 4)]
+        want = [TransferBatch.from_transfers(mixed_transfers())
+                .cost_column(m, group)[0].tolist() for m in machines]
+        wrong = []
+
+        def reader(offset):
+            for i in range(400):
+                k = (i + offset) % len(machines)
+                if batch.cost_column(machines[k], group)[0].tolist() != want[k]:
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=reader, args=(3 * j,))
+                   for j in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(batch._costs) <= _COST_MEMO_MAX
